@@ -45,6 +45,15 @@ if ! awk -v s="$MIN_SPEEDUP" 'BEGIN { exit !(s >= 3.0) }'; then
   exit 1
 fi
 echo "ci: fast-path min speedup ${MIN_SPEEDUP}x"
+# The same file times the fast path against the CSR row-parallel
+# CUDA-core baseline on one served-shape launch (R-MAT scale 12, N=128,
+# f32 in and out): ROADMAP item 2's yardstick, held at 3x.
+FAST_OVER_CSR=$(sed -n 's/.*"fast_over_csr":\([0-9.]*\).*/\1/p' BENCH_spmm.json)
+if ! awk -v r="${FAST_OVER_CSR:-99}" 'BEGIN { exit !(r <= 3.0) }'; then
+  echo "ci: fast path is ${FAST_OVER_CSR}x the CSR baseline's wall-clock (budget 3x)" >&2
+  exit 1
+fi
+echo "ci: fast path at ${FAST_OVER_CSR}x the CSR baseline's wall-clock"
 
 echo "== tracing overhead gate"
 # The zero-cost claim, measured: a disarmed span site is one relaxed

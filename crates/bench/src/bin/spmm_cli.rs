@@ -21,6 +21,7 @@ use std::time::Instant;
 
 use flashsparse::{
     auto_tune, spmm_fp16_k16_with_mode, spmm_with_mode, TcuPrecision, ThreadMapping,
+    TranslatedMatrix, TuneChoice,
 };
 use fs_bench::algos::{measure_sddmm_all, measure_spmm_all};
 use fs_format::{vector_stats, MeBcrs, TcFormatSpec};
@@ -45,13 +46,18 @@ fn usage() -> ! {
 /// Median wall-clock seconds of `iters` runs of `f` (one warm-up run).
 fn median_secs<F: FnMut()>(iters: usize, mut f: F) -> f64 {
     f();
-    let mut samples: Vec<f64> = (0..iters)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64()
-        })
-        .collect();
+    median(
+        (0..iters)
+            .map(|_| {
+                let t = Instant::now();
+                f();
+                t.elapsed().as_secs_f64()
+            })
+            .collect(),
+    )
+}
+
+fn median(mut samples: Vec<f64>) -> f64 {
     samples.sort_by(|a, b| a.total_cmp(b));
     samples[samples.len() / 2]
 }
@@ -72,10 +78,41 @@ impl BenchRow {
     }
 }
 
+/// The fast path against the CSR row-parallel CUDA-core baseline on the
+/// same host and inputs — ROADMAP item 2's yardstick. One served-shape
+/// launch: R-MAT scale 12 (edge factor 8, what `fs-perf`'s `spmm_warm`
+/// runs), N = 128, f32 in and out through the paper's headline variant.
+/// Returns `(nnz, fast median secs, csr median secs)`.
+fn fast_vs_csr(iters: usize, n: usize) -> (usize, f64, f64) {
+    let csr = CsrMatrix::from_coo(&rmat::<f32>(12, 8, RmatConfig::GRAPH500, true, 42));
+    let b = DenseMatrix::<f32>::from_fn(csr.cols(), n, |r, c| ((r * 7 + c) % 29) as f32 * 0.11);
+    let choice = TuneChoice::FALLBACK;
+    let translated = TranslatedMatrix::translate(&csr, &choice);
+    // Alternate the two so both see the same cache and host state.
+    let mut fast = Vec::with_capacity(iters);
+    let mut baseline = Vec::with_capacity(iters);
+    for rep in 0..=iters {
+        let t = Instant::now();
+        std::hint::black_box(translated.spmm_f32(&b, choice.mapping));
+        let fast_secs = t.elapsed().as_secs_f64();
+        let t = Instant::now();
+        std::hint::black_box(fs_baselines::cuda::cusparse_like::spmm(&csr, &b));
+        let baseline_secs = t.elapsed().as_secs_f64();
+        if rep > 0 {
+            // rep 0 is the warm-up
+            fast.push(fast_secs);
+            baseline.push(baseline_secs);
+        }
+    }
+    (csr.nnz(), median(fast), median(baseline))
+}
+
 /// Time both execution modes on a fixed synthetic suite and write the
 /// per-(dataset, precision, mode) medians as JSON. The "GFLOP-equiv"
 /// figure charges each run the useful work `2 * nnz * N` regardless of
-/// tile padding, so the two modes are directly comparable.
+/// tile padding, so the two modes are directly comparable. A second
+/// section times the fast path against the CSR baseline
+/// ([`fast_vs_csr`]).
 fn run_bench_json(path: &str) {
     const ITERS: usize = 5;
     let n = 128usize;
@@ -141,6 +178,10 @@ fn run_bench_json(path: &str) {
         );
     }
 
+    const CSR_ITERS: usize = 9;
+    let (csr_nnz, csr_fast_secs, csr_secs) = fast_vs_csr(CSR_ITERS, n);
+    let fast_over_csr = csr_fast_secs / csr_secs;
+
     let min_speedup = rows.iter().map(BenchRow::speedup).fold(f64::INFINITY, f64::min);
     let mut w = fs_trace::export::JsonWriter::new();
     w.begin_object();
@@ -162,6 +203,15 @@ fn run_bench_json(path: &str) {
     }
     w.end_array();
     w.field_f64("min_speedup", min_speedup);
+    w.key("vs_csr").begin_object();
+    w.field_str("dataset", "rmat-s12");
+    w.field_str("variant", &TuneChoice::FALLBACK.variant_name());
+    w.field_u64("nnz", csr_nnz as u64);
+    w.field_u64("iters", CSR_ITERS as u64);
+    w.field_f64("fast_median_secs", csr_fast_secs);
+    w.field_f64("csr_median_secs", csr_secs);
+    w.field_f64("fast_over_csr", fast_over_csr);
+    w.end_object();
     w.end_object();
     let mut json = w.finish();
     json.push('\n');
@@ -186,7 +236,12 @@ fn run_bench_json(path: &str) {
             r.speedup()
         );
     }
-    println!("wrote {path} (min speedup {min_speedup:.2}x)");
+    println!(
+        "rmat-s12 f32 SpMM (nnz {csr_nnz}, median of {CSR_ITERS}): fast {:.2} ms, CSR row-parallel {:.2} ms",
+        csr_fast_secs * 1e3,
+        csr_secs * 1e3
+    );
+    println!("wrote {path} (min speedup {min_speedup:.2}x, fast/CSR {fast_over_csr:.2})");
 }
 
 /// Measure what the tracing instrumentation costs and write the numbers

@@ -14,7 +14,7 @@ use fs_matrix::{CsrMatrix, DenseMatrix};
 use fs_precision::{Tf32, F16};
 use fs_tcu::{KernelCounters, Precision};
 
-use crate::spmm::{spmm, spmm_fp16_k16};
+use crate::spmm::spmm_f32;
 use crate::tune::TuneChoice;
 
 /// A sparse matrix translated into the ME-BCRS layout of one tuned kernel
@@ -52,10 +52,11 @@ impl TranslatedMatrix {
         }
     }
 
-    /// SpMM against an f32 dense operand: the operand is cast to the
-    /// variant's storage precision, the tuned kernel runs, and the output
-    /// widens back to f32 (the kernels accumulate in f32 already, so the
-    /// widening is exact). Deterministic: the same variant and inputs
+    /// SpMM against an f32 dense operand with the tuned kernel
+    /// ([`spmm_f32`]): the operand is rounded to the variant's storage
+    /// precision once on its way into the kernel and the f32 accumulators
+    /// are rounded once on their way out — the bits the typed kernel
+    /// would store, widened. Deterministic: the same variant and inputs
     /// produce bit-identical output, which is what lets the serving cache
     /// promise hit/miss equivalence.
     pub fn spmm_f32(
@@ -64,18 +65,10 @@ impl TranslatedMatrix {
         mapping: crate::ThreadMapping,
     ) -> (DenseMatrix<f32>, KernelCounters) {
         match self {
-            TranslatedMatrix::Fp16K8(me) => {
-                let (c, k) = spmm(me, &b.cast::<F16>(), mapping);
-                (c.cast::<f32>(), k)
+            TranslatedMatrix::Fp16K8(me) | TranslatedMatrix::Fp16K16(me) => {
+                spmm_f32(me, b, mapping)
             }
-            TranslatedMatrix::Fp16K16(me) => {
-                let (c, k) = spmm_fp16_k16(me, &b.cast::<F16>(), mapping);
-                (c.cast::<f32>(), k)
-            }
-            TranslatedMatrix::Tf32K4(me) => {
-                let (c, k) = spmm(me, &b.cast::<Tf32>(), mapping);
-                (c.cast::<f32>(), k)
-            }
+            TranslatedMatrix::Tf32K4(me) => spmm_f32(me, b, mapping),
         }
     }
 

@@ -1,20 +1,54 @@
 //! The fast execution path ([`fs_tcu::ExecMode::Fast`]).
 //!
-//! Bit-identical to the simulator — same [`round_operand`] rounding of
-//! every operand, same f32 accumulation order inside every MMA, same
-//! output cast — but with all simulator scaffolding removed:
+//! Bit-identical to the simulator — every operand on the same MMA
+//! lattice, the same f32 accumulation order inside every MMA, the same
+//! output rounding — with all simulator scaffolding removed. SpMM obeys
+//! one rule: *every operand is rounded to the lattice exactly once per
+//! launch, and the inner loop runs along B's contiguous rows.*
 //!
-//! * **No fragment materialization.** `Fragment::from_tile`/`to_tile`
-//!   are exact bijections, so the MMA semantics reduce to a plain
-//!   triple loop over the gathered tiles. Skipping the zero-filled tail
-//!   of ragged blocks is safe because an accumulator that starts at
-//!   `+0.0` can never become `-0.0` (IEEE round-to-nearest returns `+0`
-//!   for any exactly-zero sum unless both addends are `-0`), so the
-//!   skipped `+0.0` products can never flip a sign bit.
-//! * **Operands rounded once.** The simulator calls [`round_operand`]
-//!   on every operand of every MMA; rounding is a pure function, so the
-//!   fast path pre-rounds each sparse value once per window and each
-//!   dense element once per gather.
+//! * **One panel per launch.** The dense operand is staged once into a
+//!   launch-wide f32 [`Panel`] (split over the scheduler's workers):
+//!   f32 operands are rounded with [`round_operand`], typed operands are
+//!   only widened — a stored `F16`/`Tf32` is already a lattice point, so
+//!   re-rounding it is the identity (`fs-precision`'s exhaustive
+//!   `lattice_identity` test). The same holds for the sparse values,
+//!   which are widened as they are multiplied. The simulator calls
+//!   `round_operand` on every operand of every MMA; rounding is a pure
+//!   idempotent function, so the operands it multiplies are these.
+//! * **Row axpy instead of a gathered tile.** `Fragment::from_tile` /
+//!   `to_tile` are exact bijections, so an MMA reduces to: for every
+//!   window row `j` and output column `i`, `acc = Σ_t B[col_t][i]·A[j][t]`
+//!   in ascending `t` from `+0.0`, then `C[j][i] += acc`. The fast path
+//!   runs that sum for all columns `i` of a column tile at once: per TC
+//!   block and window row it starts a partial accumulator row at `+0.0`,
+//!   adds `a·panel_row` for `t = 0..w_b` (each a contiguous,
+//!   autovectorised axpy), and folds the partial row into the window
+//!   row's running sum. Per output cell this is the simulator's exact
+//!   sequence of f32 operations — vector lanes never interact — so the
+//!   bits cannot differ. Column tiles are [`COL_TILE`] wide so the
+//!   window's accumulator rows, the partial row and the block's panel
+//!   rows stay L1-resident.
+//! * **Zero skip, guarded.** Most slots of an 8×1 vector are fill (84%
+//!   on the scale-12 R-MAT the benchmark runs). A zero sparse value contributes `±0.0 · b`; when `b` is finite that is
+//!   `±0.0`, and adding `±0.0` to an accumulator that is not `-0.0`
+//!   returns it unchanged. No accumulator is ever `-0.0`: each starts at
+//!   `+0.0`, and under round-to-nearest a sum is `-0.0` only when both
+//!   addends are. So when — and only when — the panel is known finite,
+//!   zero values (and block rows holding nothing else, whose fold would
+//!   add `+0.0`) are skipped. With an `inf` or `NaN` anywhere in the
+//!   panel `0 · inf = NaN` must propagate as it does in the simulator, so
+//!   nothing is skipped. The zero-filled tail of a ragged block is
+//!   `+0.0 · +0.0` in the simulator regardless of the panel and is
+//!   always skipped. (One caveat on "bit-identical": when a sum meets
+//!   two NaNs, which one the host's add returns is left open by IEEE 754
+//!   and LLVM may commute the operands, so the simulator's scalar loop
+//!   and this vector loop can disagree on a NaN result's sign or
+//!   payload — never on its being NaN. `exec_mode_props` pins exactly
+//!   that.)
+//! * **Round on store.** Each accumulator is rounded once into the
+//!   caller's element type ([`Operand::store`]): to `S` for the typed
+//!   entry points, straight to an f32 lattice point for the f32 ones —
+//!   no `S`-typed copy of B or C exists on the f32 path.
 //! * **Analytic counters.** MMA counts follow from block geometry;
 //!   memory transactions come from [`AnalyticCounter`] over closed-form
 //!   request spans ([`block_request_spans`]) instead of replaying
@@ -26,8 +60,17 @@
 //!   checked once up front (the fast path has no sanitizer to report
 //!   violations, so it refuses malformed input outright).
 //!
-//! Scratch buffers live in a thread-local arena reused across windows
-//! and launches: a window allocates nothing.
+//! SDDMM keeps its own scheme: it gathers and rounds the window's rows
+//! of A once per window and the sampled rows of B once per vector group,
+//! then runs the chained-MMA dot products in chunk order.
+//!
+//! Scratch buffers are thread-local and grow-only, so a window
+//! allocates nothing once its thread has seen a window of that size.
+//! Under [`SchedMode::Sequential`] the calling thread keeps its scratch
+//! across launches; under [`SchedMode::WorkStealing`] the pool spawns
+//! fresh scoped threads per launch (`rayon::steal::run`), so each
+//! worker allocates its scratch once per launch and reuses it across
+//! that launch's windows.
 
 use std::cell::RefCell;
 
@@ -51,17 +94,97 @@ use crate::variant::TcuPrecision;
 /// ignores this and schedules single windows, weighted by population.
 pub(crate) const WINDOW_BATCH: usize = 8;
 
+/// Output columns per numeric pass over a window. At this width the
+/// window's 8 accumulator rows (8 KiB), the partial row (1 KiB) and the
+/// up to 16 panel rows of one TC block (16 KiB) fit a 32 KiB L1 together.
+const COL_TILE: usize = 256;
+
+/// An element type on the outside of an SpMM launch for precision `S`:
+/// how it enters the MMA lattice and how an accumulator leaves it.
+pub(crate) trait Operand<S: TcuPrecision>: Scalar {
+    /// The value as the MMA datapath sees it — a lattice point, in f32.
+    fn load(self) -> f32;
+    /// Round an f32 accumulator to the lattice and store it.
+    fn store(acc: f32) -> Self;
+}
+
+/// Stored `S` values are lattice points already: widen in, round out.
+impl<S: TcuPrecision> Operand<S> for S {
+    #[inline]
+    fn load(self) -> f32 {
+        self.to_f32()
+    }
+    #[inline]
+    fn store(acc: f32) -> S {
+        S::from_f32(acc)
+    }
+}
+
+/// f32 on both sides: round in, round out, never materialize an `S`.
+impl<S: TcuPrecision> Operand<S> for f32 {
+    #[inline]
+    fn load(self) -> f32 {
+        round_operand(self, S::PRECISION)
+    }
+    #[inline]
+    fn store(acc: f32) -> f32 {
+        round_operand(acc, S::PRECISION)
+    }
+}
+
+/// The dense operand of one launch, rounded to the MMA lattice once and
+/// held in f32 so the kernel streams its rows without conversion.
+pub(crate) struct Panel {
+    data: Vec<f32>,
+    cols: usize,
+    /// No element is `inf` or `NaN` — the licence for the zero skip.
+    finite: bool,
+}
+
+impl Panel {
+    /// Stage `b` for launches at precision `S`, split row-wise over the
+    /// scheduler's workers.
+    pub(crate) fn stage<S: TcuPrecision, T: Operand<S>>(
+        b: &DenseMatrix<T>,
+        sched: SchedMode,
+    ) -> Panel {
+        let mut data = vec![0.0f32; b.len()];
+        let chunk = b.len().div_ceil(sched.workers()).max(1);
+        let tasks: Vec<_> =
+            b.as_slice().chunks(chunk).zip(data.chunks_mut(chunk)).map(|pair| (1, pair)).collect();
+        let (finite, _) = steal::run(sched.workers(), tasks, |(src, dst)| {
+            let mut finite = true;
+            for (d, s) in dst.iter_mut().zip(src) {
+                *d = s.load();
+                finite &= d.is_finite();
+            }
+            finite
+        });
+        Panel { data, cols: b.cols(), finite: finite.into_iter().all(|f| f) }
+    }
+
+    /// Dense columns (the launch's `N`).
+    pub(crate) fn cols(&self) -> usize {
+        self.cols
+    }
+
+    #[inline]
+    fn row(&self, r: usize) -> &[f32] {
+        &self.data[r * self.cols..(r + 1) * self.cols]
+    }
+}
+
 /// Reusable per-thread scratch for the fused kernels.
 #[derive(Default)]
 struct FastScratch {
-    /// Pre-rounded sparse values of the current window (SpMM) or the
-    /// pre-rounded dense rows (SDDMM).
+    /// The window's pre-rounded rows of A (SDDMM).
     rounded: Vec<f32>,
     /// Second rounding buffer (SDDMM group rows).
     rounded_b: Vec<f32>,
-    /// Gathered dense tile (SpMM left operand).
-    a_tile: Vec<f32>,
-    /// 16×8 output accumulator tile.
+    /// One block row's partial accumulator (SpMM).
+    partial: Vec<f32>,
+    /// The window's running sums: 8 rows × [`COL_TILE`] (SpMM) or the
+    /// 16×8 output tile (SDDMM).
     c_tile: Vec<f32>,
     /// Closed-form transaction accounting.
     counter: AnalyticCounter,
@@ -71,8 +194,8 @@ thread_local! {
     static SCRATCH: RefCell<FastScratch> = RefCell::new(FastScratch::default());
 }
 
-/// Grow-only resize: never shrinks, so steady-state launches stop
-/// allocating entirely.
+/// Grow-only resize: never shrinks, so a thread stops allocating once
+/// it has seen its largest window.
 #[inline]
 fn reserve(buf: &mut Vec<f32>, len: usize) {
     if buf.len() < len {
@@ -108,44 +231,37 @@ fn record_steals(stats: &steal::StealStats) {
     }
 }
 
-/// Fused SpMM (`C = A × B`), bit-identical to the simulated kernel.
-/// Dimension/spec assertions are the dispatching caller's job.
-pub(crate) fn spmm_fast<S: TcuPrecision>(
+/// Fused SpMM (`C = A × B`), bit-identical to the simulated kernel, for
+/// typed (`T = S`) or f32 operands. Dimension/spec assertions are the
+/// dispatching caller's job.
+pub(crate) fn spmm_fast<S: TcuPrecision, T: Operand<S>>(
     a: &MeBcrs<S>,
-    b: &DenseMatrix<S>,
-    mapping: ThreadMapping,
-    shape: MmaShape,
-) -> (DenseMatrix<S>, KernelCounters) {
-    spmm_fast_sched(a, b, mapping, shape, SchedMode::auto())
-}
-
-/// [`spmm_fast`] with an explicit window scheduler.
-pub(crate) fn spmm_fast_sched<S: TcuPrecision>(
-    a: &MeBcrs<S>,
-    b: &DenseMatrix<S>,
+    b: &DenseMatrix<T>,
     mapping: ThreadMapping,
     shape: MmaShape,
     sched: SchedMode,
-) -> (DenseMatrix<S>, KernelCounters) {
-    let mut out = DenseMatrix::<S>::zeros(a.rows(), b.cols());
-    let counters = spmm_fast_into(a, b, mapping, shape, out.as_mut_slice(), sched);
+) -> (DenseMatrix<T>, KernelCounters) {
+    let mut out = DenseMatrix::<T>::zeros(a.rows(), b.cols());
+    let panel = Panel::stage::<S, T>(b, sched);
+    let counters = spmm_fast_into(a, &panel, mapping, shape, out.as_mut_slice(), sched);
     (out, counters)
 }
 
-/// Fused SpMM into a caller-owned `rows × n` output slice — the slab
-/// entry point the overlapped cold path uses to execute one translated
-/// row-window slab directly into its region of the full output.
-pub(crate) fn spmm_fast_into<S: TcuPrecision>(
+/// Fused SpMM against an already staged panel into a caller-owned
+/// `rows × n` output slice — the slab entry point the overlapped cold
+/// path uses to execute each translated row-window slab directly into
+/// its region of the full output, all slabs sharing one panel.
+pub(crate) fn spmm_fast_into<S: TcuPrecision, T: Operand<S>>(
     a: &MeBcrs<S>,
-    b: &DenseMatrix<S>,
+    panel: &Panel,
     mapping: ThreadMapping,
     shape: MmaShape,
-    out: &mut [S],
+    out: &mut [T],
     sched: SchedMode,
 ) -> KernelCounters {
     ensure_valid(a);
     let v = shape.n;
-    let n = b.cols();
+    let n = panel.cols();
     let rows = a.rows();
     assert_eq!(out.len(), rows * n, "output slice must be rows × n");
     if n == 0 || rows == 0 {
@@ -157,7 +273,7 @@ pub(crate) fn spmm_fast_into<S: TcuPrecision>(
     // Exact per-window output slices: every window (including the ragged
     // final one) gets its true `window_rows × n` length, so no work unit
     // spans output slots for windows that don't exist.
-    let mut windows: Vec<(usize, &mut [S])> = Vec::with_capacity(a.num_windows());
+    let mut windows: Vec<(usize, &mut [T])> = Vec::with_capacity(a.num_windows());
     let mut rest = out;
     for w in 0..a.num_windows() {
         let len = (rows - w * v).min(v) * n;
@@ -175,7 +291,7 @@ pub(crate) fn spmm_fast_into<S: TcuPrecision>(
                 for (w, out_window) in group.iter_mut() {
                     spmm_window(
                         a,
-                        b,
+                        panel,
                         *w,
                         out_window,
                         shape,
@@ -189,7 +305,7 @@ pub(crate) fn spmm_fast_into<S: TcuPrecision>(
             counters
         }),
         SchedMode::WorkStealing { workers } => {
-            let tasks: Vec<(u64, (usize, &mut [S]))> = windows
+            let tasks: Vec<(u64, (usize, &mut [T]))> = windows
                 .into_iter()
                 .map(|(w, slice)| (a.vectors_in_window(w) as u64 + 1, (w, slice)))
                 .collect();
@@ -200,7 +316,7 @@ pub(crate) fn spmm_fast_into<S: TcuPrecision>(
                     let mut counters = KernelCounters::default();
                     spmm_window(
                         a,
-                        b,
+                        panel,
                         w,
                         out_window,
                         shape,
@@ -219,11 +335,11 @@ pub(crate) fn spmm_fast_into<S: TcuPrecision>(
 }
 
 #[allow(clippy::too_many_arguments)]
-fn spmm_window<S: TcuPrecision>(
+fn spmm_window<S: TcuPrecision, T: Operand<S>>(
     a: &MeBcrs<S>,
-    b: &DenseMatrix<S>,
+    panel: &Panel,
     w: usize,
-    out_window: &mut [S],
+    out_window: &mut [T],
     shape: MmaShape,
     load_spans: &[RequestSpan],
     store_spans: &[RequestSpan],
@@ -232,7 +348,7 @@ fn spmm_window<S: TcuPrecision>(
 ) {
     let v = shape.n;
     let k = shape.k;
-    let n = b.cols();
+    let n = panel.cols();
     let window_rows = (a.rows() - w * v).min(v);
     let num_blocks = a.blocks_in_window(w);
     if num_blocks == 0 {
@@ -247,14 +363,7 @@ fn spmm_window<S: TcuPrecision>(
     counters.mma_count += num_blocks as u64 * n_tiles;
     counters.tcu_flops += num_blocks as u64 * n_tiles * shape.flops();
 
-    let FastScratch { rounded, a_tile, c_tile, counter: ac, .. } = scratch;
-
-    // ---- Pre-round the window's sparse values once. ----
-    let vals = &a.values()[a.window_ptr()[w] * v..a.window_ptr()[w + 1] * v];
-    reserve(rounded, vals.len());
-    for (dst, src) in rounded.iter_mut().zip(vals) {
-        *dst = round_operand(src.to_f32(), S::PRECISION);
-    }
+    let FastScratch { partial, c_tile: acc, counter: ac, .. } = scratch;
 
     // ---- Memory traffic, one pass over the blocks. ----
     for blk in 0..num_blocks {
@@ -280,10 +389,11 @@ fn spmm_window<S: TcuPrecision>(
         // whole sectors — so one computation covers them all; the ragged
         // tail tile is computed separately.
         if full_tiles > 0 {
-            dense_loads(ac, counters, b, cols, w_b, 0, N_TILE, load_spans, full_tiles as u64);
+            dense_loads::<S>(ac, counters, n, cols, w_b, 0, N_TILE, load_spans, full_tiles as u64);
         }
         if ragged > 0 {
-            dense_loads(ac, counters, b, cols, w_b, full_tiles * N_TILE, ragged, load_spans, 1);
+            let j0 = full_tiles * N_TILE;
+            dense_loads::<S>(ac, counters, n, cols, w_b, j0, ragged, load_spans, 1);
         }
     }
 
@@ -316,43 +426,61 @@ fn spmm_window<S: TcuPrecision>(
         store(ac, counters, full_tiles * N_TILE, ragged, 1);
     }
 
-    // ---- Numerics: the fused gather-round-multiply kernel. ----
-    reserve(a_tile, N_TILE * k);
-    reserve(c_tile, N_TILE * v);
-    for j0 in (0..n).step_by(N_TILE) {
-        let tile_cols = (n - j0).min(N_TILE);
-        c_tile[..N_TILE * v].fill(0.0);
+    // ---- Numerics: row axpy over the staged panel. ----
+    let stored = &a.values()[a.window_ptr()[w] * v..a.window_ptr()[w + 1] * v];
+    let skip_zeros = panel.finite;
+    reserve(acc, v * COL_TILE);
+    reserve(partial, COL_TILE);
+
+    for j0 in (0..n).step_by(COL_TILE) {
+        let width = (n - j0).min(COL_TILE);
+        let acc = &mut acc[..window_rows * width];
+        let partial = &mut partial[..width];
+        acc.fill(0.0);
 
         for blk in 0..num_blocks {
             let w_b = a.block_width(w, blk);
             let cols = a.block_cols(w, blk);
+            // A block stores its 8 rows `w_b` wide, row-major; every
+            // block before the window's last is a full `k` wide.
+            let blk_vals = &stored[blk * k * v..][..v * w_b];
 
-            for (t, &c) in cols.iter().enumerate() {
-                let brow = b.row(c as usize);
-                for i in 0..tile_cols {
-                    a_tile[i * k + t] = round_operand(brow[j0 + i].to_f32(), S::PRECISION);
-                }
-            }
-
-            // Same accumulation order as `mma_execute`: ascending t,
-            // one f32 accumulator per output cell, added to the running
-            // tile value after the block. Entries past `w_b` are +0.0
-            // products in the simulator and cannot change any sum.
-            let blk_base = blk * k * v;
-            for i in 0..tile_cols {
-                for j in 0..window_rows {
-                    let mut acc = 0.0f32;
-                    for t in 0..w_b {
-                        acc += a_tile[i * k + t] * rounded[blk_base + j * w_b + t];
+            for (row_vals, acc_row) in blk_vals.chunks_exact(w_b).zip(acc.chunks_exact_mut(width)) {
+                // Same accumulation order as `mma_execute`: a fresh
+                // partial sum per block, ascending t, folded into the
+                // running sum after the block.
+                let mut live = false;
+                for (&sv, &c) in row_vals.iter().zip(cols) {
+                    // The fill is stored `+0.0`. (`F16` compares bits,
+                    // so a stored `-0.0` is multiplied like any value;
+                    // `Tf32` compares as f32 and skips it. Both are the
+                    // identity on the sum.)
+                    if skip_zeros && sv == S::ZERO {
+                        continue;
                     }
-                    c_tile[i * v + j] += acc;
+                    if !live {
+                        partial.fill(0.0);
+                        live = true;
+                    }
+                    // A stored value is a lattice point: widening it is
+                    // all the rounding `round_operand` would do.
+                    let av = sv.to_f32();
+                    let brow = &panel.row(c as usize)[j0..j0 + width];
+                    for (p, &bv) in partial.iter_mut().zip(brow) {
+                        *p += bv * av;
+                    }
+                }
+                if live {
+                    for (c, &p) in acc_row.iter_mut().zip(partial.iter()) {
+                        *c += p;
+                    }
                 }
             }
         }
 
-        for j in 0..window_rows {
-            for i in 0..tile_cols {
-                out_window[j * n + j0 + i] = S::from_f32(c_tile[i * v + j]);
+        for (out_row, acc_row) in out_window.chunks_exact_mut(n).zip(acc.chunks_exact(width)) {
+            for (o, &c) in out_row[j0..j0 + width].iter_mut().zip(acc_row) {
+                *o = T::store(c);
             }
         }
     }
@@ -360,12 +488,13 @@ fn spmm_window<S: TcuPrecision>(
 
 /// Commit one column tile's dense-operand requests from the closed-form
 /// spans, clipped to the valid row (`w_b`) and column (`tile_cols`)
-/// prefixes.
+/// prefixes. Addresses are those of the `S`-typed `rows × n` operand the
+/// simulated kernel loads.
 #[allow(clippy::too_many_arguments)]
 fn dense_loads<S: TcuPrecision>(
     ac: &mut AnalyticCounter,
     counters: &mut KernelCounters,
-    b: &DenseMatrix<S>,
+    n: usize,
     cols: &[u32],
     w_b: usize,
     j0: usize,
@@ -379,7 +508,7 @@ fn dense_loads<S: TcuPrecision>(
             for &r in &span.rows {
                 if r < w_b {
                     ac.range(
-                        b.addr_of(cols[r] as usize, j0 + span.col_lo),
+                        ((cols[r] as usize * n + j0 + span.col_lo) * S::BYTES) as u64,
                         (width * S::BYTES) as u64,
                     );
                 }

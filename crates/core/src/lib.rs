@@ -71,7 +71,7 @@ pub use resilient::{
     VerifyPolicy, DEFAULT_TOLERANCE,
 };
 pub use sddmm::{sddmm, sddmm_with_mode};
-pub use spmm::{spmm, spmm_fp16_k16, spmm_fp16_k16_with_mode, spmm_with_mode};
+pub use spmm::{spmm, spmm_f32, spmm_fp16_k16, spmm_fp16_k16_with_mode, spmm_with_mode};
 pub use thread_map::ThreadMapping;
 pub use tune::{auto_tune, TuneChoice};
 pub use variant::TcuPrecision;

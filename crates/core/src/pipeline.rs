@@ -36,8 +36,8 @@ use fs_precision::{Tf32, F16};
 use fs_tcu::{ExecMode, KernelCounters, MmaShape, Precision};
 
 use crate::dispatch::TranslatedMatrix;
-use crate::fast::{sddmm_fast_sched, spmm_fast_into, spmm_fast_sched};
-use crate::spmm::trace_launch;
+use crate::fast::{sddmm_fast_sched, spmm_fast, spmm_fast_into, Panel};
+use crate::spmm::{kernel_shape, trace_launch};
 use crate::thread_map::ThreadMapping;
 use crate::tune::TuneChoice;
 use crate::variant::TcuPrecision;
@@ -104,7 +104,7 @@ pub fn spmm_with_sched<S: TcuPrecision>(
     }
     assert_eq!(a.spec(), S::SPEC, "format spec must match the kernel precision");
     assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
-    let (out, counters) = spmm_fast_sched(a, b, mapping, S::SHAPE, sched);
+    let (out, counters) = spmm_fast(a, b, mapping, S::SHAPE, sched);
     trace_launch(mode, &counters);
     (out, counters)
 }
@@ -126,7 +126,7 @@ pub fn spmm_fp16_k16_with_sched(
     }
     assert_eq!(a.spec(), TcFormatSpec::FLASH_FP16_K16, "k16 kernel requires the k=16 layout");
     assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
-    let (out, counters) = spmm_fast_sched(a, b, mapping, MmaShape::M16N8K16_F16, sched);
+    let (out, counters) = spmm_fast(a, b, mapping, MmaShape::M16N8K16_F16, sched);
     trace_launch(mode, &counters);
     (out, counters)
 }
@@ -189,37 +189,16 @@ pub fn spmm_overlapped(
     fs_trace::add(fs_trace::TraceCounter::Overlaps, 1);
     let (out, counters, format) = match (choice.precision, choice.block_k) {
         (Precision::Fp16, 8) => {
-            let (out, k, me) = overlapped_impl::<F16>(
-                &csr.cast(),
-                &b.cast(),
-                TcFormatSpec::FLASH_FP16,
-                F16::SHAPE,
-                choice.mapping,
-                sched,
-            );
-            (out.cast::<f32>(), k, TranslatedMatrix::Fp16K8(me))
+            let (out, k, me) = overlapped_impl::<F16>(&csr.cast(), b, choice, sched);
+            (out, k, TranslatedMatrix::Fp16K8(me))
         }
         (Precision::Fp16, 16) => {
-            let (out, k, me) = overlapped_impl::<F16>(
-                &csr.cast(),
-                &b.cast(),
-                TcFormatSpec::FLASH_FP16_K16,
-                MmaShape::M16N8K16_F16,
-                choice.mapping,
-                sched,
-            );
-            (out.cast::<f32>(), k, TranslatedMatrix::Fp16K16(me))
+            let (out, k, me) = overlapped_impl::<F16>(&csr.cast(), b, choice, sched);
+            (out, k, TranslatedMatrix::Fp16K16(me))
         }
         (Precision::Tf32, 4) => {
-            let (out, k, me) = overlapped_impl::<Tf32>(
-                &csr.cast(),
-                &b.cast(),
-                TcFormatSpec::FLASH_TF32,
-                Tf32::SHAPE,
-                choice.mapping,
-                sched,
-            );
-            (out.cast::<f32>(), k, TranslatedMatrix::Tf32K4(me))
+            let (out, k, me) = overlapped_impl::<Tf32>(&csr.cast(), b, choice, sched);
+            (out, k, TranslatedMatrix::Tf32K4(me))
         }
         other => unreachable!("tuner never selects {other:?}"),
     };
@@ -228,20 +207,22 @@ pub fn spmm_overlapped(
 }
 
 /// The monomorphic overlap pipeline: stager thread translating slabs,
-/// calling thread executing them, format assembled at the end.
+/// calling thread executing them against one shared panel of `b`
+/// (staged while the first slab translates), format assembled at the end.
 fn overlapped_impl<S: TcuPrecision>(
     csr: &CsrMatrix<S>,
-    b: &DenseMatrix<S>,
-    spec: TcFormatSpec,
-    shape: MmaShape,
-    mapping: ThreadMapping,
+    b: &DenseMatrix<f32>,
+    choice: &TuneChoice,
     sched: SchedMode,
-) -> (DenseMatrix<S>, KernelCounters, MeBcrs<S>) {
+) -> (DenseMatrix<f32>, KernelCounters, MeBcrs<S>) {
+    let spec = choice.spec();
+    let shape = kernel_shape::<S>(spec);
+    let mapping = choice.mapping;
     let rows = csr.rows();
     let n = b.cols();
     let v = spec.vector_len;
     let slab_rows = SLAB_WINDOWS * v;
-    let mut out = DenseMatrix::<S>::zeros(rows, n);
+    let mut out = DenseMatrix::<f32>::zeros(rows, n);
 
     let (slabs, counters) = std::thread::scope(|s| {
         // Rendezvous + one buffered slab = classic double buffering: the
@@ -261,13 +242,14 @@ fn overlapped_impl<S: TcuPrecision>(
             }
         });
 
+        let panel = Panel::stage::<S, f32>(b, sched);
         let mut slabs: Vec<MeBcrs<S>> = Vec::with_capacity(rows.div_ceil(slab_rows.max(1)));
         let mut counters = KernelCounters::default();
         for (lo, slab) in rx {
             let hi = lo + slab.rows();
             counters += spmm_fast_into(
                 &slab,
-                b,
+                &panel,
                 mapping,
                 shape,
                 &mut out.as_mut_slice()[lo * n..hi * n],

@@ -27,6 +27,7 @@ use fs_tcu::{
 use rayon::prelude::*;
 
 use crate::fast::{spmm_fast, WINDOW_BATCH};
+use crate::pipeline::SchedMode;
 use crate::sanitize_hooks::{validate_format, SpmmShadow, ViolationSnapshot};
 use crate::thread_map::{block_requests, ThreadMapping};
 use crate::variant::TcuPrecision;
@@ -72,10 +73,62 @@ pub fn spmm_with_mode<S: TcuPrecision>(
     assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
     let (out, counters) = match mode {
         ExecMode::Simulate => spmm_shaped(a, b, mapping, S::SHAPE),
-        ExecMode::Fast => spmm_fast(a, b, mapping, S::SHAPE),
+        ExecMode::Fast => spmm_fast(a, b, mapping, S::SHAPE, SchedMode::auto()),
     };
     trace_launch(mode, &counters);
     (out, counters)
+}
+
+/// SpMM with f32 on both sides of the kernel `a`'s layout selects — the
+/// entry the serving dispatch, the overlapped cold path's cached format
+/// and the GNN operators share. `a` may be in `S`'s own layout or, for
+/// FP16, the wide `k = 16` one.
+///
+/// Bit-identical (output and counters) to casting `b` to `S`, running
+/// [`spmm`] / [`spmm_fp16_k16`] and widening the result — but on the
+/// fast path no `S`-typed copy of `b` or of the output is made: `b` is
+/// rounded to the MMA lattice once into the launch's f32 panel and each
+/// accumulator is rounded straight into the f32 output. Under
+/// [`ExecMode::Simulate`] (sanitize or chaos active) it performs exactly
+/// those casts around the simulated kernel.
+///
+/// # Panics
+/// Panics if `a`'s layout is not one `S` has a kernel for, if the inner
+/// dimensions disagree, or — on the fast path — if an unwitnessed `a`
+/// fails the up-front structural validation.
+pub fn spmm_f32<S: TcuPrecision>(
+    a: &MeBcrs<S>,
+    b: &DenseMatrix<f32>,
+    mapping: ThreadMapping,
+) -> (DenseMatrix<f32>, KernelCounters) {
+    let shape = kernel_shape::<S>(a.spec());
+    assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
+    let mode = ExecMode::auto();
+    let (out, counters) = match mode {
+        ExecMode::Simulate => {
+            let (out, counters) = spmm_shaped(a, &b.cast::<S>(), mapping, shape);
+            (out.cast::<f32>(), counters)
+        }
+        ExecMode::Fast => spmm_fast(a, b, mapping, shape, SchedMode::auto()),
+    };
+    trace_launch(mode, &counters);
+    (out, counters)
+}
+
+/// The MMA shape that executes layout `spec` at precision `S`: `S`'s own
+/// shape for its own layout, the wide `m16n8k16` for FP16's `k = 16` one.
+///
+/// # Panics
+/// Panics if `S` has no kernel for `spec`.
+pub(crate) fn kernel_shape<S: TcuPrecision>(spec: fs_format::TcFormatSpec) -> fs_tcu::MmaShape {
+    let wide_fp16 =
+        S::PRECISION == fs_tcu::Precision::Fp16 && spec == fs_format::TcFormatSpec::FLASH_FP16_K16;
+    assert!(spec == S::SPEC || wide_fp16, "no {} kernel for layout {spec:?}", S::NAME);
+    if wide_fp16 {
+        fs_tcu::MmaShape::M16N8K16_F16
+    } else {
+        S::SHAPE
+    }
 }
 
 /// Attach one finished launch's work totals (and its exec mode) to the
@@ -125,7 +178,9 @@ pub fn spmm_fp16_k16_with_mode(
     assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
     let (out, counters) = match mode {
         ExecMode::Simulate => spmm_shaped(a, b, mapping, fs_tcu::MmaShape::M16N8K16_F16),
-        ExecMode::Fast => spmm_fast(a, b, mapping, fs_tcu::MmaShape::M16N8K16_F16),
+        ExecMode::Fast => {
+            spmm_fast(a, b, mapping, fs_tcu::MmaShape::M16N8K16_F16, SchedMode::auto())
+        }
     };
     trace_launch(mode, &counters);
     (out, counters)

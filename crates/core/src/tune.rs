@@ -144,28 +144,29 @@ pub fn auto_tune(csr: &CsrMatrix<f32>, n: usize, gpu: GpuSpec) -> TuneChoice {
         _ => best = Some(choice),
     };
 
+    // One translation per layout; both mappings probe the same format
+    // (the mapping only changes how the kernel addresses it).
+    let sample16 = sample.cast::<F16>();
+    let me_k8 = MeBcrs::from_csr(&sample16, TcFormatSpec::FLASH_FP16);
+    let me_k16 = MeBcrs::from_csr(&sample16, TcFormatSpec::FLASH_FP16_K16);
+    let me_tf32 = MeBcrs::from_csr(&sample.cast::<Tf32>(), TcFormatSpec::FLASH_TF32);
+
     for mapping in [ThreadMapping::MemoryEfficient, ThreadMapping::Direct] {
-        // FP16 k=8.
-        let me = MeBcrs::from_csr(&sample.cast::<F16>(), TcFormatSpec::FLASH_FP16);
-        let (_, k) = spmm(&me, &b16, mapping);
+        let (_, k) = spmm(&me_k8, &b16, mapping);
         consider(TuneChoice {
             precision: Precision::Fp16,
             block_k: 8,
             mapping,
             sampled_time: model.kernel_time(&k, ComputeClass::TcuFp16),
         });
-        // FP16 k=16.
-        let me = MeBcrs::from_csr(&sample.cast::<F16>(), TcFormatSpec::FLASH_FP16_K16);
-        let (_, k) = spmm_fp16_k16(&me, &b16, mapping);
+        let (_, k) = spmm_fp16_k16(&me_k16, &b16, mapping);
         consider(TuneChoice {
             precision: Precision::Fp16,
             block_k: 16,
             mapping,
             sampled_time: model.kernel_time(&k, ComputeClass::TcuFp16),
         });
-        // TF32 k=4.
-        let me = MeBcrs::from_csr(&sample.cast::<Tf32>(), TcFormatSpec::FLASH_TF32);
-        let (_, k) = spmm(&me, &b32, mapping);
+        let (_, k) = spmm(&me_tf32, &b32, mapping);
         consider(TuneChoice {
             precision: Precision::Tf32,
             block_k: 4,
@@ -251,6 +252,72 @@ mod tests {
             }
         }
         assert_eq!(names.len(), 6);
+    }
+
+    /// The probe as it ran before the sample layouts were hoisted: a
+    /// fresh translation for every (mapping, variant) pair.
+    fn tune_translating_per_probe(csr: &CsrMatrix<f32>, n: usize, gpu: GpuSpec) -> TuneChoice {
+        let sample = csr.head_rows(SAMPLE_ROWS.min(csr.rows()));
+        let model = CostModel::new(gpu);
+        let b16 = DenseMatrix::<F16>::zeros(sample.cols(), n.min(64));
+        let b32 = DenseMatrix::<Tf32>::zeros(sample.cols(), n.min(64));
+        let mut probes = Vec::new();
+        for mapping in [ThreadMapping::MemoryEfficient, ThreadMapping::Direct] {
+            let me = MeBcrs::from_csr(&sample.cast::<F16>(), TcFormatSpec::FLASH_FP16);
+            let (_, k) = spmm(&me, &b16, mapping);
+            probes.push((
+                Precision::Fp16,
+                8,
+                mapping,
+                model.kernel_time(&k, ComputeClass::TcuFp16),
+            ));
+            let me = MeBcrs::from_csr(&sample.cast::<F16>(), TcFormatSpec::FLASH_FP16_K16);
+            let (_, k) = spmm_fp16_k16(&me, &b16, mapping);
+            probes.push((
+                Precision::Fp16,
+                16,
+                mapping,
+                model.kernel_time(&k, ComputeClass::TcuFp16),
+            ));
+            let me = MeBcrs::from_csr(&sample.cast::<Tf32>(), TcFormatSpec::FLASH_TF32);
+            let (_, k) = spmm(&me, &b32, mapping);
+            probes.push((
+                Precision::Tf32,
+                4,
+                mapping,
+                model.kernel_time(&k, ComputeClass::TcuTf32),
+            ));
+        }
+        // First strict minimum wins, as in `auto_tune`.
+        let mut best = probes[0];
+        for p in &probes[1..] {
+            if p.3 < best.3 {
+                best = *p;
+            }
+        }
+        TuneChoice { precision: best.0, block_k: best.1, mapping: best.2, sampled_time: best.3 }
+    }
+
+    #[test]
+    fn translating_each_layout_once_changes_no_choice() {
+        // The matrices of the tests above, each at its own width and GPU.
+        let cases = [
+            (
+                CsrMatrix::from_coo(&rmat::<f32>(8, 4, RmatConfig::GRAPH500, true, 3)),
+                128,
+                GpuSpec::RTX4090,
+            ),
+            (
+                CsrMatrix::from_coo(&random_uniform::<f32>(512, 512, 6000, 5)),
+                128,
+                GpuSpec::H100_PCIE,
+            ),
+            (CsrMatrix::from_coo(&random_uniform::<f32>(256, 256, 2000, 4)), 64, GpuSpec::RTX4090),
+            (CsrMatrix::from_coo(&random_uniform::<f32>(256, 256, 2000, 9)), 64, GpuSpec::RTX4090),
+        ];
+        for (csr, n, gpu) in cases {
+            assert_eq!(auto_tune(&csr, n, gpu), tune_translating_per_probe(&csr, n, gpu));
+        }
     }
 
     #[test]

@@ -3,7 +3,10 @@
 //! [`KernelCounters`] field — across precisions, MMA shapes, thread
 //! mappings, and ragged shapes (rows not a multiple of the window,
 //! dense columns not a multiple of the 16-wide tile, ragged last
-//! blocks, ragged K).
+//! blocks, ragged K) — and across operand *values* the arithmetic is
+//! not closed over: `±inf`, `NaN`, FP16 overflow, signed zeros and
+//! subnormals, which is what guards the fast path's finite-only zero
+//! skip (`0 × inf = NaN` in the simulator).
 //!
 //! No sanitize/chaos scope is held here, so no global mode flags are
 //! touched and the properties can run in parallel. The mode-routing
@@ -56,8 +59,124 @@ fn check_spmm<S: TcuPrecision>(csr: &CsrMatrix<f32>, n: usize, seed: u64) {
     }
 }
 
+/// [`dense_bits`] with every NaN mapped to one pattern. Which of two NaN
+/// addends `a + b` returns is left open by IEEE 754 (x86 returns the
+/// first, and its default NaN — `0 × inf`, `inf − inf` — is negative
+/// where an input `f32::NAN` is positive); LLVM is free to commute the
+/// add, so two compilations of the same sum (the simulator's scalar
+/// loop, the fast path's vector loop) may disagree on a NaN's sign or
+/// payload. That a result *is* NaN is exact, and is what this compares;
+/// every other value, infinities and signed zeros included, by its bits.
+fn dense_bits_nan_class<S: Scalar>(m: &DenseMatrix<S>) -> Vec<u32> {
+    m.as_slice()
+        .iter()
+        .map(|v| v.to_f32())
+        .map(|x| if x.is_nan() { f32::NAN.to_bits() } else { x.to_bits() })
+        .collect()
+}
+
+/// Dense-operand values the kernels' arithmetic is not closed over.
+/// The first four make the panel non-finite for at least one precision
+/// (`1e5` overflows FP16 but not TF32); the rest keep it finite, so the
+/// zero skip runs against signed zeros and FP16 subnormals.
+const SPECIALS: [f32; 9] = [
+    f32::INFINITY,
+    f32::NEG_INFINITY,
+    f32::NAN,
+    1.0e5,
+    -0.0,
+    5.960_464_5e-8, // 2^-24, the smallest FP16 subnormal
+    -3.0e-6,
+    6.0e-5, // just under the smallest FP16 normal
+    -65504.0,
+];
+
+/// A sparse/dense pair salted with special values: `special_mask` picks
+/// which [`SPECIALS`] appear in B (so some cases keep the panel finite
+/// and some do not); A gets explicit `-0.0` entries and tiny values
+/// whose products underflow.
+fn salted_case(
+    csr: &CsrMatrix<f32>,
+    n: usize,
+    seed: u64,
+    special_mask: u16,
+) -> (CsrMatrix<f32>, DenseMatrix<f32>) {
+    let mut a = csr.clone();
+    for (i, v) in a.values_mut().iter_mut().enumerate() {
+        match (i as u64 + seed) % 7 {
+            0 => *v = -0.0,
+            1 => *v = 6.0e-8,
+            2 => *v = -1.0e-5,
+            _ => {}
+        }
+    }
+    let allowed: Vec<f32> = SPECIALS
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| special_mask >> i & 1 == 1)
+        .map(|(_, &x)| x)
+        .collect();
+    let b = DenseMatrix::<f32>::from_fn(csr.cols(), n, |r, c| {
+        let h = (r * 31 + c * 17 + seed as usize) % 23;
+        match allowed.get(h) {
+            Some(&x) => x,
+            None => ((h as f32) - 11.0) * 0.25,
+        }
+    });
+    (a, b)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Non-finite, overflowing, signed-zero and subnormal operands:
+    /// outputs and counters stay bit-identical for FP16-k8, FP16-k16 and
+    /// TF32-k4 under both mappings, ragged rows and ragged N. With any
+    /// `inf`/`NaN` in B the fast path must multiply every zero the
+    /// simulator multiplies; with none it may skip them all, and no
+    /// `-0.0` may appear or vanish either way. NaN results compare as
+    /// NaN ([`dense_bits_nan_class`]).
+    #[test]
+    fn spmm_special_values_are_bit_identical(
+        case in (
+            1usize..60,
+            1usize..50,
+            0usize..400,
+            prop::sample::select(vec![1usize, 15, 17, 130]),
+            0u64..10_000,
+            0u16..512,
+        )
+    ) {
+        let (rows, cols, nnz, n, seed, special_mask) = case;
+        let csr = CsrMatrix::from_coo(&random_uniform::<f32>(rows, cols, nnz, seed));
+        let (a, b) = salted_case(&csr, n, seed, special_mask);
+        fn check<S: TcuPrecision>(a: &CsrMatrix<f32>, b: &DenseMatrix<f32>) {
+            let me = MeBcrs::from_csr(&a.cast::<S>(), S::SPEC);
+            let b = b.cast::<S>();
+            for mapping in MAPPINGS {
+                let (c_sim, k_sim) = spmm_with_mode(&me, &b, mapping, ExecMode::Simulate);
+                let (c_fast, k_fast) = spmm_with_mode(&me, &b, mapping, ExecMode::Fast);
+                assert_eq!(
+                    dense_bits_nan_class(&c_sim),
+                    dense_bits_nan_class(&c_fast),
+                    "{} {mapping:?}",
+                    S::NAME
+                );
+                assert_eq!(k_sim, k_fast, "{} {mapping:?} counters", S::NAME);
+            }
+        }
+        check::<F16>(&a, &b);
+        check::<Tf32>(&a, &b);
+        let me = MeBcrs::from_csr(&a.cast::<F16>(), TcFormatSpec::FLASH_FP16_K16);
+        let b16 = b.cast::<F16>();
+        for mapping in MAPPINGS {
+            let (c_sim, k_sim) = spmm_fp16_k16_with_mode(&me, &b16, mapping, ExecMode::Simulate);
+            let (c_fast, k_fast) = spmm_fp16_k16_with_mode(&me, &b16, mapping, ExecMode::Fast);
+            prop_assert_eq!(
+                dense_bits_nan_class(&c_sim), dense_bits_nan_class(&c_fast), "k16 {:?}", mapping);
+            prop_assert_eq!(k_sim, k_fast, "k16 {:?} counters", mapping);
+        }
+    }
 
     /// FP16 `m16n8k8` SpMM: outputs and counters bit-identical.
     #[test]

@@ -1,15 +1,20 @@
 //! Mode-routing regressions: enabling the sanitizer or chaos injection
 //! must force the kernels back onto the full simulator. These tests
 //! flip process-global mode flags, so they live in their own test
-//! binary (separate process from the equivalence properties).
+//! binary (separate process from the equivalence properties). The
+//! one-kernel test lives here for the same reason: the f32 entry points
+//! pick their mode automatically, so exercising both takes a scope.
 
-use flashsparse::{spmm, ThreadMapping};
+use flashsparse::{
+    spmm, spmm_fp16_k16_with_sched, spmm_overlapped, spmm_with_sched, SchedMode, ThreadMapping,
+    TranslatedMatrix, TuneChoice,
+};
 use fs_chaos::{ChaosScope, FaultPlan, FaultSite};
 use fs_format::{MeBcrs, TcFormatSpec};
 use fs_matrix::gen::random_uniform;
 use fs_matrix::{CsrMatrix, DenseMatrix};
-use fs_precision::F16;
-use fs_tcu::{ExecMode, SanitizeScope};
+use fs_precision::{Tf32, F16};
+use fs_tcu::{ExecMode, KernelCounters, Precision, SanitizeScope};
 
 fn small_launch() {
     let csr = CsrMatrix::from_coo(&random_uniform::<F16>(32, 32, 200, 5));
@@ -71,4 +76,84 @@ fn quiet_process_defaults_to_fast() {
     let _sanitize = SanitizeScope::off();
     let _chaos = ChaosScope::install(FaultPlan::new(0));
     assert_eq!(ExecMode::auto(), ExecMode::Fast);
+}
+
+/// What `spmm_f32` must equal: cast B to the variant's storage type, run
+/// the typed kernel (simulated whenever a scope forces it, `sched`
+/// ignored then), widen the result.
+fn typed_reference(
+    t: &TranslatedMatrix,
+    b: &DenseMatrix<f32>,
+    mapping: ThreadMapping,
+    sched: SchedMode,
+) -> (DenseMatrix<f32>, KernelCounters) {
+    match t {
+        TranslatedMatrix::Fp16K8(me) => {
+            let (c, k) = spmm_with_sched(me, &b.cast::<F16>(), mapping, sched);
+            (c.cast::<f32>(), k)
+        }
+        TranslatedMatrix::Fp16K16(me) => {
+            let (c, k) = spmm_fp16_k16_with_sched(me, &b.cast::<F16>(), mapping, sched);
+            (c.cast::<f32>(), k)
+        }
+        TranslatedMatrix::Tf32K4(me) => {
+            let (c, k) = spmm_with_sched(me, &b.cast::<Tf32>(), mapping, sched);
+            (c.cast::<f32>(), k)
+        }
+    }
+}
+
+fn bits(m: &DenseMatrix<f32>) -> Vec<u32> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+#[test]
+fn f32_entry_points_are_the_typed_kernel() {
+    // The f32 entries never build an `S`-typed B or C on the fast path;
+    // this pins them to the typed kernel that does, in output bits and
+    // counters, so the casts cannot come back as a behavioural change.
+    // 700 rows = 3 translation slabs with a ragged last window; N = 24
+    // is off the 16-wide tile; the operand values are off both lattices.
+    let csr = CsrMatrix::from_coo(&random_uniform::<f32>(700, 600, 9000, 5));
+    let b = DenseMatrix::<f32>::from_fn(600, 24, |r, c| ((r * 3 + c) % 13) as f32 * 0.123_456_7);
+    let scheds = [SchedMode::Sequential, SchedMode::WorkStealing { workers: 3 }];
+    // Each phase holds a sanitize scope and then an all-zero-rate chaos
+    // plan — the lock order of `quiet_process_defaults_to_fast` — so the
+    // armed tests above can neither flip the mode nor inject mid-launch.
+    for (precision, block_k) in [(Precision::Fp16, 8), (Precision::Fp16, 16), (Precision::Tf32, 4)]
+    {
+        for mapping in [ThreadMapping::Direct, ThreadMapping::MemoryEfficient] {
+            let choice = TuneChoice { precision, block_k, mapping, sampled_time: 0.0 };
+            let name = choice.variant_name();
+            let t = TranslatedMatrix::translate(&csr, &choice);
+            let fast = {
+                let _sanitize = SanitizeScope::off();
+                let _chaos = ChaosScope::install(FaultPlan::new(0));
+                assert_eq!(ExecMode::auto(), ExecMode::Fast);
+                let (got, got_k) = t.spmm_f32(&b, mapping);
+                for sched in scheds {
+                    let (want, want_k) = typed_reference(&t, &b, mapping, sched);
+                    assert_eq!(bits(&got), bits(&want), "{name} fast {sched:?}");
+                    assert_eq!(got_k, want_k, "{name} fast {sched:?} counters");
+                    // Slab arrays start at other sector offsets, so the
+                    // overlapped launch's traffic may differ by a few
+                    // sectors; its MMA work may not.
+                    let (over, over_k, _) = spmm_overlapped(&csr, &b, &choice, sched);
+                    assert_eq!(bits(&over), bits(&want), "{name} overlapped {sched:?}");
+                    assert_eq!(over_k.mma_count, want_k.mma_count, "{name} overlapped");
+                    assert_eq!(over_k.tcu_flops, want_k.tcu_flops, "{name} overlapped");
+                }
+                (got, got_k)
+            };
+            let _sanitize = SanitizeScope::record();
+            let _chaos = ChaosScope::install(FaultPlan::new(0));
+            assert_eq!(ExecMode::auto(), ExecMode::Simulate);
+            let (got, got_k) = t.spmm_f32(&b, mapping);
+            let (want, want_k) = typed_reference(&t, &b, mapping, SchedMode::Sequential);
+            assert_eq!(bits(&got), bits(&want), "{name} simulate");
+            assert_eq!(got_k, want_k, "{name} simulate counters");
+            assert_eq!(bits(&got), bits(&fast.0), "{name} simulate vs fast");
+            assert_eq!(got_k, fast.1, "{name} simulate vs fast counters");
+        }
+    }
 }

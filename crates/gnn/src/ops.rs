@@ -7,7 +7,7 @@
 //! and results widened on exit, exactly the paper's integration of its
 //! kernels into PyTorch.
 
-use flashsparse::{sddmm as flash_sddmm, spmm as flash_spmm, TcuPrecision, ThreadMapping};
+use flashsparse::{sddmm as flash_sddmm, spmm_f32 as flash_spmm, TcuPrecision, ThreadMapping};
 use fs_baselines::cuda;
 use fs_format::MeBcrs;
 use fs_matrix::{CsrMatrix, DenseMatrix};
@@ -104,15 +104,14 @@ impl SparseOps {
         b: &DenseMatrix<f32>,
     ) -> DenseMatrix<f32> {
         let a_s: MeBcrs<S> = MeBcrs::from_csr(&adj.cast::<S>(), S::SPEC);
-        let b_s: DenseMatrix<S> = b.cast();
-        let (out, counters) = flash_spmm(&a_s, &b_s, ThreadMapping::MemoryEfficient);
+        let (out, counters) = flash_spmm(&a_s, b, ThreadMapping::MemoryEfficient);
         let run = fs_baselines::BaselineRun {
             counters,
             imbalance: fs_baselines::wave::tcu_window_imbalance(&a_s, b.cols().div_ceil(16)),
             class: S::compute_class(),
         };
         self.record(counters, run.simulated_time(self.gpu));
-        out.cast()
+        out
     }
 
     /// `C = (a × bᵀ) ⊙ mask` at the backend's precision (f32 in/out, CSR
