@@ -1,18 +1,17 @@
 #!/usr/bin/env bash
-# CI gate for the workspace: formatting, the custom lint pass, a release
-# build, and the full test suite. Any failure aborts the run.
+# CI gate for the workspace: formatting, the fs-analyze pass (lint rules
+# included), a release build, and the full test suite. Any failure
+# aborts the run.
 set -euo pipefail
 cd "$(dirname "$0")"
 
 echo "== cargo fmt --check"
 cargo fmt --check
 
-echo "== cargo run -p xtask -- lint"
-cargo run -p xtask --quiet -- lint
-
 echo "== cargo run -p analyze -- check (baseline gate)"
-# Token-level workspace analyses (lock-order, atomic-ordering, protocol,
-# trace-site, counter parity) gated against the committed baseline:
+# Token-level workspace analyses (the five per-file lint rules, then
+# lock-order, atomic-ordering, protocol, trace-site, counter parity)
+# gated against the committed baseline:
 # findings not in analyze-baseline.json fail, and so do stale baseline
 # entries that no longer fire. After reviewing a finding you intend to
 # accept, run:
@@ -23,6 +22,12 @@ cargo run -p analyze --quiet -- check --json ANALYZE_findings.json \
 
 echo "== cargo build --release"
 cargo build --release
+
+echo "== fs-perf compiles against the workspace"
+# perf/ is its own workspace with path dependencies on crates/*; it is
+# the frozen benchmark (BENCHMARK.json), so an API change that breaks it
+# must fail here, not in the benchmark pipeline.
+cargo build --release --manifest-path perf/Cargo.toml --target-dir target/perf
 
 echo "== cargo test -q"
 cargo test -q

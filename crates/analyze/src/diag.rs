@@ -27,8 +27,8 @@ impl fmt::Display for Severity {
     }
 }
 
-/// One finding, printed as `file:line: [rule] message` (the same shape
-/// the xtask linter always used, so editors keep jumping to it).
+/// One finding, printed as `file:line: [rule] message` (the shape
+/// editors jump to).
 #[derive(Clone, Debug)]
 pub struct Diagnostic {
     pub file: PathBuf,

@@ -1,6 +1,6 @@
 //! A token-level Rust lexer.
 //!
-//! This is the piece the old line-based `xtask` linter was missing: it
+//! This is the piece a line-based substring matcher is missing: it
 //! classifies every byte of a source file as comment, string/char
 //! literal, identifier, number, lifetime, punctuation, or whitespace, so
 //! downstream rules can match on *code* tokens and never fire on a

@@ -1,8 +1,7 @@
 //! fs-analyze: token-level static analysis for the FlashSparse workspace.
 //!
-//! Unlike the original `xtask` lint pass (substring matching over raw
-//! lines), everything here is built on a real Rust lexer ([`lexer`]):
-//! comments, string literals, raw strings, and char literals are
+//! Unlike a lint pass that substring-matches raw lines, everything here
+//! is built on a real Rust lexer ([`lexer`]): comments, string literals, raw strings, and char literals are
 //! tokenized exactly, so a banned pattern inside a doc comment or a
 //! string can never fire a rule, and rules can reason about token
 //! structure (`.unwrap()` as four tokens, not a substring).

@@ -1,10 +1,8 @@
-//! The five repo lint rules, migrated from xtask's line-based matcher
-//! onto the token lexer.
+//! The five repo lint rules, on the token lexer.
 //!
-//! Same rules, same annotation scheme, same diagnostic format — but
-//! matching happens on code tokens, so patterns inside string literals
-//! and (doc) comments can no longer fire. `cargo run -p xtask -- lint`
-//! is now a thin shim over this module.
+//! Matching happens on code tokens, so patterns inside string literals
+//! and (doc) comments cannot fire. `analyze check` runs them over every
+//! file (`Workspace::run_all`).
 //!
 //! 1. **checked-cast** — truncating `as u32` / `as u16` casts in kernel
 //!    modules (`crates/tcu`, `crates/core`). Address and index
@@ -24,10 +22,10 @@
 //!    `// lint: counted-catch` note saying where the panic is counted
 //!    and surfaced. Vendored shims under `crates/shims/` are exempt.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use crate::diag::{Diagnostic, Severity};
-use crate::model::{collect_rs_files, FileModel};
+use crate::model::FileModel;
 
 /// How a file is classified, deciding which rules apply.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -49,8 +47,7 @@ pub fn classify(path: &Path) -> FileClass {
         || p.contains("/examples/")
         || p.starts_with("examples/")
         || p.starts_with("tests/")
-        || p.contains("crates/bench/")
-        || p.contains("crates/xtask/");
+        || p.contains("crates/bench/");
     if is_test_like {
         return FileClass::TestOrBench;
     }
@@ -68,15 +65,9 @@ pub const UNSAFE_ALLOWLIST: &[&str] = &[];
 /// shims mirror external crates' APIs and own their panic handling.
 pub const COUNTED_CATCH_EXEMPT: &[&str] = &["crates/shims/"];
 
-/// Lint one file's source text. `path` is used for diagnostics and the
-/// path-based exemptions; classification is the caller's job so tests
-/// can exercise any class on inline fixtures.
-pub fn lint_source(path: &Path, content: &str, class: FileClass) -> Vec<Diagnostic> {
-    let m = FileModel::new(path.to_path_buf(), content.to_string());
-    lint_model(&m, class)
-}
-
-/// Lint an already-built [`FileModel`].
+/// Lint one file. `m.path` is used for diagnostics and the path-based
+/// exemptions; classification is the caller's job so tests can exercise
+/// any class on inline fixtures.
 pub fn lint_model(m: &FileModel, class: FileClass) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let p = m.path.to_string_lossy().replace('\\', "/");
@@ -178,27 +169,12 @@ pub fn lint_model(m: &FileModel, class: FileClass) -> Vec<Diagnostic> {
     out
 }
 
-/// Lint every `.rs` file under `root` (skipping `target/` and hidden
-/// directories). Unlike the old xtask pass, the linter's own sources are
-/// *not* exempted: token-level matching means the rule definitions and
-/// test fixtures (which spell every banned pattern inside string
-/// literals) no longer trip the rules.
-pub fn lint_tree(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
-    let mut out = Vec::new();
-    for rel in collect_rs_files(root)? {
-        let content = std::fs::read_to_string(root.join(&rel))?;
-        let rel: PathBuf = PathBuf::from(rel.to_string_lossy().replace('\\', "/"));
-        out.push(FileModel::new(rel, content));
-    }
-    Ok(out.iter().flat_map(|m| lint_model(m, classify(&m.path))).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn lint_fixture(path: &str, src: &str, class: FileClass) -> Vec<Diagnostic> {
-        lint_source(Path::new(path), src, class)
+        lint_model(&FileModel::new(path.into(), src.to_string()), class)
     }
 
     #[test]
@@ -293,13 +269,14 @@ mod tests {
         assert!(lint_fixture("crates/serve/src/x.rs", import, FileClass::Lib).is_empty());
     }
 
-    // The false-positive class the lexer kills: each of these made the
-    // old substring matcher fire (see the legacy matchers kept in
-    // crates/xtask for the demonstration); the token rules stay silent.
+    // The false-positive class the lexer kills: each of these makes a
+    // substring matcher fire; the token rules stay silent.
     #[test]
     fn string_literals_and_doc_comments_cannot_fire() {
         let in_string = "let msg = \"call .unwrap() on the result\";\n";
         assert!(lint_fixture("crates/format/src/x.rs", in_string, FileClass::Lib).is_empty());
+        let word = "let msg = \"an unsafe operation was rejected\";\n";
+        assert!(lint_fixture("crates/gnn/src/x.rs", word, FileClass::Lib).is_empty());
         let in_doc = "/// Truncates with `x as u32` semantics.\nfn f() {}\n";
         assert!(lint_fixture("crates/tcu/src/x.rs", in_doc, FileClass::KernelLib).is_empty());
         let in_comment = "// unsafe would be wrong here; todo!() too\nfn f() {}\n";

@@ -7,7 +7,7 @@
 //! `spmm_cli --bench-json`); this harness is for interactive digging.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use flashsparse::{spmm_with_mode, TcuPrecision, ThreadMapping};
+use flashsparse::{spmm_with, ExecPlan, TcuPrecision, ThreadMapping};
 use fs_format::MeBcrs;
 use fs_matrix::gen::{random_uniform, rmat, RmatConfig};
 use fs_matrix::{CsrMatrix, DenseMatrix};
@@ -32,14 +32,16 @@ fn bench_exec_mode(c: &mut Criterion) {
                 BenchmarkId::new(format!("{name}-fp16"), mode.name()),
                 &mode,
                 |bch, &mode| {
-                    bch.iter(|| spmm_with_mode(&me16, &b16, ThreadMapping::MemoryEfficient, mode))
+                    let plan = ExecPlan { mode, ..ExecPlan::auto() };
+                    bch.iter(|| spmm_with(&me16, &b16, ThreadMapping::MemoryEfficient, plan))
                 },
             );
             group.bench_with_input(
                 BenchmarkId::new(format!("{name}-tf32"), mode.name()),
                 &mode,
                 |bch, &mode| {
-                    bch.iter(|| spmm_with_mode(&me32, &b32, ThreadMapping::MemoryEfficient, mode))
+                    let plan = ExecPlan { mode, ..ExecPlan::auto() };
+                    bch.iter(|| spmm_with(&me32, &b32, ThreadMapping::MemoryEfficient, plan))
                 },
             );
         }

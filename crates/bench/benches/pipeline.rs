@@ -9,7 +9,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use flashsparse::{
-    spmm_overlapped, spmm_with_sched, SchedMode, ThreadMapping, TranslatedMatrix, TuneChoice,
+    spmm_overlapped, spmm_with, ExecPlan, SchedMode, ThreadMapping, TranslatedMatrix, TuneChoice,
 };
 use fs_matrix::gen::{rmat, RmatConfig};
 use fs_matrix::{CsrMatrix, DenseMatrix};
@@ -44,19 +44,15 @@ fn bench_pipeline(c: &mut Criterion) {
     let fs = flashsparse::FlashSparseMatrix::from_csr(&csr.cast::<F16>());
     let me = fs.format();
     let bf = b.cast::<F16>();
-    group.bench_function("sched/sequential", |bch| {
-        bch.iter(|| spmm_with_sched(me, &bf, ThreadMapping::MemoryEfficient, SchedMode::Sequential))
-    });
-    group.bench_function("sched/steal-4", |bch| {
-        bch.iter(|| {
-            spmm_with_sched(
-                me,
-                &bf,
-                ThreadMapping::MemoryEfficient,
-                SchedMode::WorkStealing { workers: 4 },
-            )
-        })
-    });
+    for (name, sched) in [
+        ("sched/sequential", SchedMode::Sequential),
+        ("sched/steal-4", SchedMode::WorkStealing { workers: 4 }),
+    ] {
+        let plan = ExecPlan { sched, ..ExecPlan::auto() };
+        group.bench_function(name, |bch| {
+            bch.iter(|| spmm_with(me, &bf, ThreadMapping::MemoryEfficient, plan))
+        });
+    }
     group.finish();
 }
 

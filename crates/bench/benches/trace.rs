@@ -6,7 +6,7 @@
 //! within noise of the plain fast-path numbers in `benches/exec_mode.rs`.
 //! The `spmm-trace-armed` series quantifies what live histogram + event
 //! recording costs when tracing *is* on (on the fast path: one clock
-//! pair per `WINDOW_BATCH` chunk plus four counter adds per launch).
+//! pair per row window plus four counter adds per launch).
 //! The `span-site-disarmed` series measures the raw per-site cost in
 //! isolation — the same quantity the `spmm_cli --trace-ab-json` ci.sh
 //! gate bounds.

@@ -20,8 +20,7 @@
 use std::time::Instant;
 
 use flashsparse::{
-    auto_tune, spmm_fp16_k16_with_mode, spmm_with_mode, TcuPrecision, ThreadMapping,
-    TranslatedMatrix, TuneChoice,
+    auto_tune, spmm_with, ExecPlan, TcuPrecision, ThreadMapping, TranslatedMatrix, TuneChoice,
 };
 use fs_bench::algos::{measure_sddmm_all, measure_spmm_all};
 use fs_format::{vector_stats, MeBcrs, TcFormatSpec};
@@ -41,6 +40,11 @@ fn usage() -> ! {
          \x20      spmm_cli --trace-ab-json FILE  # write the tracing-overhead A/B numbers"
     );
     std::process::exit(2);
+}
+
+/// What a plain `spmm` call runs, with the engine pinned to `mode`.
+fn pinned(mode: ExecMode) -> ExecPlan {
+    ExecPlan { mode, ..ExecPlan::auto() }
 }
 
 /// Median wall-clock seconds of `iters` runs of `f` (one warm-up run).
@@ -140,40 +144,30 @@ fn run_bench_json(path: &str) {
         push(
             "fp16",
             median_secs(ITERS, || {
-                spmm_with_mode(&me16, &b16, ThreadMapping::MemoryEfficient, ExecMode::Fast);
+                spmm_with(&me16, &b16, ThreadMapping::MemoryEfficient, pinned(ExecMode::Fast));
             }),
             median_secs(ITERS, || {
-                spmm_with_mode(&me16, &b16, ThreadMapping::MemoryEfficient, ExecMode::Simulate);
+                spmm_with(&me16, &b16, ThreadMapping::MemoryEfficient, pinned(ExecMode::Simulate));
             }),
         );
         let me32: MeBcrs<Tf32> = MeBcrs::from_csr(&csr.cast(), Tf32::SPEC);
         push(
             "tf32",
             median_secs(ITERS, || {
-                spmm_with_mode(&me32, &b32, ThreadMapping::MemoryEfficient, ExecMode::Fast);
+                spmm_with(&me32, &b32, ThreadMapping::MemoryEfficient, pinned(ExecMode::Fast));
             }),
             median_secs(ITERS, || {
-                spmm_with_mode(&me32, &b32, ThreadMapping::MemoryEfficient, ExecMode::Simulate);
+                spmm_with(&me32, &b32, ThreadMapping::MemoryEfficient, pinned(ExecMode::Simulate));
             }),
         );
         let mek16: MeBcrs<F16> = MeBcrs::from_csr(&csr.cast(), TcFormatSpec::FLASH_FP16_K16);
         push(
             "fp16-k16",
             median_secs(ITERS, || {
-                spmm_fp16_k16_with_mode(
-                    &mek16,
-                    &b16,
-                    ThreadMapping::MemoryEfficient,
-                    ExecMode::Fast,
-                );
+                spmm_with(&mek16, &b16, ThreadMapping::MemoryEfficient, pinned(ExecMode::Fast));
             }),
             median_secs(ITERS, || {
-                spmm_fp16_k16_with_mode(
-                    &mek16,
-                    &b16,
-                    ThreadMapping::MemoryEfficient,
-                    ExecMode::Simulate,
-                );
+                spmm_with(&mek16, &b16, ThreadMapping::MemoryEfficient, pinned(ExecMode::Simulate));
             }),
         );
     }
@@ -275,7 +269,7 @@ fn run_trace_ab_json(path: &str) {
     let b16 = DenseMatrix::<F16>::from_fn(csr.cols(), n, |r, c| ((r + c) % 7) as f32 * 0.25);
     let me16: MeBcrs<F16> = MeBcrs::from_csr(&csr.cast(), F16::SPEC);
     let run = || {
-        spmm_with_mode(&me16, &b16, ThreadMapping::MemoryEfficient, ExecMode::Fast);
+        spmm_with(&me16, &b16, ThreadMapping::MemoryEfficient, pinned(ExecMode::Fast));
     };
     let (disarmed_secs, armed_secs, armed_spans) = {
         let scope = fs_trace::TraceScope::disarmed();

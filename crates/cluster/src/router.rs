@@ -41,6 +41,7 @@ use fs_matrix::{CooMatrix, CsrMatrix};
 use fs_serve::client::{ClientError, ServeClient};
 use fs_serve::protocol::{fnv1a64, read_frame, write_frame, ErrorCode, Request, Response};
 use fs_serve::{Fingerprint, DEFAULT_MAX_LOAD_DIM};
+use fs_trace::export::JsonWriter;
 use fs_trace::Site;
 use parking_lot::Mutex;
 
@@ -1022,43 +1023,51 @@ fn metrics_json(state: &Arc<RouterState>, addr: SocketAddr, start_epoch: u64) ->
         (shards, map.replicated())
     };
     let matrices = state.matrices.lock().len();
-    let mut shard_items = String::new();
-    for (i, (shard_addr, epoch)) in shards.iter().enumerate() {
-        if i > 0 {
-            shard_items.push(',');
-        }
-        shard_items.push_str(&format!("{{\"addr\":\"{shard_addr}\",\"start_epoch\":{epoch}}}"));
-    }
     let health = state.heal.health();
-    let mut heal_states = String::new();
-    for (i, (shard_addr, _)) in shards.iter().enumerate() {
-        if i > 0 {
-            heal_states.push(',');
-        }
-        let name = health.get(i).map(|h| h.name()).unwrap_or("up");
-        heal_states
-            .push_str(&format!("{{\"shard\":{i},\"addr\":\"{shard_addr}\",\"state\":\"{name}\"}}"));
-    }
     let s = &state.stats;
-    format!(
-        "{{\"server\":{{\"addr\":\"{addr}\",\"start_epoch\":{start_epoch}}},\
-         \"cluster\":{{\"shards\":[{shard_items}],\"replicate\":{replicated},\
-         \"matrices\":{matrices},\"requests\":{},\"degraded\":{},\"shard_failures\":{},\
-         \"replica_serves\":{},\"shard_restarts\":{}}},\
-         \"heal\":{{\"states\":[{heal_states}],\"ticks\":{},\"repairs_completed\":{},\
-         \"last_repair_epoch\":{},\"rejoins\":{},\"dial_attempts\":{},\"dial_suppressed\":{}}}}}",
-        s.cluster_requests.load(Ordering::Relaxed), // lint: relaxed-ok - metrics read
-        s.degraded.load(Ordering::Relaxed),         // lint: relaxed-ok - metrics read
-        s.shard_failures.load(Ordering::Relaxed),   // lint: relaxed-ok - metrics read
-        s.replica_serves.load(Ordering::Relaxed),   // lint: relaxed-ok - metrics read
-        s.shard_restarts.load(Ordering::Relaxed),   // lint: relaxed-ok - metrics read
-        state.heal.ticks(),
-        state.heal.repairs_completed(),
-        state.heal.last_repair_tick(),
-        state.heal.rejoins(),
-        s.dial_attempts.load(Ordering::Relaxed), // lint: relaxed-ok - metrics read
-        s.dial_suppressed.load(Ordering::Relaxed), // lint: relaxed-ok - metrics read
-    )
+    let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed); // lint: relaxed-ok - metrics read
+    let mut w = JsonWriter::new();
+    w.begin_object();
+    w.key("server").begin_object();
+    w.field_str("addr", &addr.to_string());
+    w.field_u64("start_epoch", start_epoch);
+    w.end_object();
+    w.key("cluster").begin_object();
+    w.key("shards").begin_array();
+    for (shard_addr, epoch) in &shards {
+        w.begin_object();
+        w.field_str("addr", shard_addr);
+        w.field_u64("start_epoch", *epoch);
+        w.end_object();
+    }
+    w.end_array();
+    w.field_bool("replicate", replicated);
+    w.field_u64("matrices", matrices as u64);
+    w.field_u64("requests", load(&s.cluster_requests));
+    w.field_u64("degraded", load(&s.degraded));
+    w.field_u64("shard_failures", load(&s.shard_failures));
+    w.field_u64("replica_serves", load(&s.replica_serves));
+    w.field_u64("shard_restarts", load(&s.shard_restarts));
+    w.end_object();
+    w.key("heal").begin_object();
+    w.key("states").begin_array();
+    for (i, (shard_addr, _)) in shards.iter().enumerate() {
+        w.begin_object();
+        w.field_u64("shard", i as u64);
+        w.field_str("addr", shard_addr);
+        w.field_str("state", health.get(i).map(|h| h.name()).unwrap_or("up"));
+        w.end_object();
+    }
+    w.end_array();
+    w.field_u64("ticks", state.heal.ticks());
+    w.field_u64("repairs_completed", state.heal.repairs_completed());
+    w.field_u64("last_repair_epoch", state.heal.last_repair_tick());
+    w.field_u64("rejoins", state.heal.rejoins());
+    w.field_u64("dial_attempts", load(&s.dial_attempts));
+    w.field_u64("dial_suppressed", load(&s.dial_suppressed));
+    w.end_object();
+    w.end_object();
+    w.finish()
 }
 
 /// Pull `"start_epoch":N` out of a shard's metrics document (the
@@ -1112,6 +1121,20 @@ mod tests {
         };
         let state = Arc::new(RouterState::new(&cfg).expect("no journal: state is infallible"));
         let json = metrics_json(&state, SocketAddr::from(([127, 0, 0, 1], 7)), 42);
+        assert_eq!(
+            json,
+            concat!(
+                r#"{"server":{"addr":"127.0.0.1:7","start_epoch":42},"#,
+                r#""cluster":{"shards":[{"addr":"127.0.0.1:1","start_epoch":0},"#,
+                r#"{"addr":"127.0.0.1:2","start_epoch":0}],"replicate":true,"matrices":0,"#,
+                r#""requests":0,"degraded":0,"shard_failures":0,"replica_serves":0,"#,
+                r#""shard_restarts":0},"#,
+                r#""heal":{"states":[{"shard":0,"addr":"127.0.0.1:1","state":"up"},"#,
+                r#"{"shard":1,"addr":"127.0.0.1:2","state":"up"}],"ticks":0,"#,
+                r#""repairs_completed":0,"last_repair_epoch":0,"rejoins":0,"#,
+                r#""dial_attempts":0,"dial_suppressed":0}}"#,
+            )
+        );
         for key in [
             "\"server\":{\"addr\":\"127.0.0.1:7\",\"start_epoch\":42}",
             "\"shards\":[{\"addr\":\"127.0.0.1:1\",\"start_epoch\":0}",

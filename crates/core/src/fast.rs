@@ -64,13 +64,14 @@
 //! of A once per window and the sampled rows of B once per vector group,
 //! then runs the chained-MMA dot products in chunk order.
 //!
-//! Scratch buffers are thread-local and grow-only, so a window
-//! allocates nothing once its thread has seen a window of that size.
-//! Under [`SchedMode::Sequential`] the calling thread keeps its scratch
-//! across launches; under [`SchedMode::WorkStealing`] the pool spawns
-//! fresh scoped threads per launch (`rayon::steal::run`), so each
-//! worker allocates its scratch once per launch and reuses it across
-//! that launch's windows.
+//! Windows are handed to `pipeline::run_windows`, the one window driver
+//! the simulated kernels use too. Scratch buffers are thread-local and
+//! grow-only, so a window allocates nothing once its thread has seen a
+//! window of that size: with one worker the calling thread keeps its
+//! scratch across launches; with more the pool spawns fresh scoped
+//! threads per launch (`rayon::steal::run`), so each worker allocates
+//! its scratch once per launch and reuses it across that launch's
+//! windows.
 
 use std::cell::RefCell;
 
@@ -81,18 +82,11 @@ use fs_tcu::mma::round_operand;
 use fs_tcu::{AnalyticCounter, KernelCounters, MmaShape, TrafficClass};
 use rayon::steal;
 
-use crate::pipeline::SchedMode;
+use crate::pipeline::{run_windows, SchedMode};
 use crate::sddmm::VEC_GROUP;
 use crate::spmm::N_TILE;
 use crate::thread_map::{block_request_spans, RequestSpan, ThreadMapping};
 use crate::variant::TcuPrecision;
-
-/// Row windows per sequential work unit (the `window_batch` span
-/// granularity). Small matrices stop paying per-window span overhead;
-/// large ones still expose plenty of parallelism (see DESIGN.md §9 for
-/// the measurement behind the value). The work-stealing scheduler
-/// ignores this and schedules single windows, weighted by population.
-pub(crate) const WINDOW_BATCH: usize = 8;
 
 /// Output columns per numeric pass over a window. At this width the
 /// window's 8 accumulator rows (8 KiB), the partial row (1 KiB) and the
@@ -219,18 +213,6 @@ fn ensure_valid<S: Scalar>(m: &MeBcrs<S>) {
     }
 }
 
-/// Forward the pool's steal observations to the trace registry (a
-/// relaxed load and nothing else when disarmed or steal-free).
-fn record_steals(stats: &steal::StealStats) {
-    if stats.steals == 0 {
-        return;
-    }
-    fs_trace::add(fs_trace::TraceCounter::Steals, stats.steals);
-    for d in &stats.steal_durations {
-        fs_trace::record_duration(fs_trace::Site::PipelineSteal, *d);
-    }
-}
-
 /// Fused SpMM (`C = A × B`), bit-identical to the simulated kernel, for
 /// typed (`T = S`) or f32 operands. Dimension/spec assertions are the
 /// dispatching caller's job.
@@ -270,68 +252,26 @@ pub(crate) fn spmm_fast_into<S: TcuPrecision, T: Operand<S>>(
     let load_spans = block_request_spans(mapping, shape.k);
     let store_spans = block_request_spans(mapping, 8);
 
-    // Exact per-window output slices: every window (including the ragged
-    // final one) gets its true `window_rows × n` length, so no work unit
-    // spans output slots for windows that don't exist.
-    let mut windows: Vec<(usize, &mut [T])> = Vec::with_capacity(a.num_windows());
-    let mut rest = out;
-    for w in 0..a.num_windows() {
-        let len = (rows - w * v).min(v) * n;
-        let (head, tail) = rest.split_at_mut(len);
-        windows.push((w, head));
-        rest = tail;
-    }
-
-    match sched {
-        SchedMode::Sequential => SCRATCH.with(|cell| {
-            let scratch = &mut *cell.borrow_mut();
+    // Every window (including the ragged final one) gets its true
+    // `window_rows × n` slice.
+    let window_len = |w: usize| (rows - w * v).min(v) * n;
+    run_windows(a, out, window_len, sched.workers(), |w, out_window| {
+        SCRATCH.with(|cell| {
             let mut counters = KernelCounters::default();
-            for group in windows.chunks_mut(WINDOW_BATCH) {
-                let _span = fs_trace::span(fs_trace::Site::WindowBatch);
-                for (w, out_window) in group.iter_mut() {
-                    spmm_window(
-                        a,
-                        panel,
-                        *w,
-                        out_window,
-                        shape,
-                        &load_spans,
-                        &store_spans,
-                        scratch,
-                        &mut counters,
-                    );
-                }
-            }
+            spmm_window(
+                a,
+                panel,
+                w,
+                out_window,
+                shape,
+                &load_spans,
+                &store_spans,
+                &mut cell.borrow_mut(),
+                &mut counters,
+            );
             counters
-        }),
-        SchedMode::WorkStealing { workers } => {
-            let tasks: Vec<(u64, (usize, &mut [T]))> = windows
-                .into_iter()
-                .map(|(w, slice)| (a.vectors_in_window(w) as u64 + 1, (w, slice)))
-                .collect();
-            let (parts, stats) = steal::run(workers, tasks, |(w, out_window)| {
-                let _span = fs_trace::span(fs_trace::Site::WindowBatch);
-                SCRATCH.with(|cell| {
-                    let scratch = &mut *cell.borrow_mut();
-                    let mut counters = KernelCounters::default();
-                    spmm_window(
-                        a,
-                        panel,
-                        w,
-                        out_window,
-                        shape,
-                        &load_spans,
-                        &store_spans,
-                        scratch,
-                        &mut counters,
-                    );
-                    counters
-                })
-            });
-            record_steals(&stats);
-            parts.into_iter().sum()
-        }
-    }
+        })
+    })
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -524,63 +464,19 @@ pub(crate) fn sddmm_fast<S: TcuPrecision>(
     mask: &MeBcrs<S>,
     a: &DenseMatrix<S>,
     b: &DenseMatrix<S>,
-) -> (MeBcrs<S>, KernelCounters) {
-    sddmm_fast_sched(mask, a, b, SchedMode::auto())
-}
-
-/// [`sddmm_fast`] with an explicit window scheduler.
-pub(crate) fn sddmm_fast_sched<S: TcuPrecision>(
-    mask: &MeBcrs<S>,
-    a: &DenseMatrix<S>,
-    b: &DenseMatrix<S>,
     sched: SchedMode,
 ) -> (MeBcrs<S>, KernelCounters) {
     ensure_valid(mask);
-    let v = S::SHAPE.n;
-    let num_windows = mask.num_windows();
     let mut values = vec![S::ZERO; mask.values().len()];
-
-    // Each window owns a disjoint slice of the output values array.
-    let mut slices: Vec<(usize, &mut [S])> = Vec::with_capacity(num_windows);
-    let mut rest = values.as_mut_slice();
-    for w in 0..num_windows {
-        let len = (mask.window_ptr()[w + 1] - mask.window_ptr()[w]) * v;
-        let (head, tail) = rest.split_at_mut(len);
-        slices.push((w, head));
-        rest = tail;
-    }
-
-    let counters = match sched {
-        SchedMode::Sequential => SCRATCH.with(|cell| {
-            let scratch = &mut *cell.borrow_mut();
+    // Each window owns the values of its own vectors.
+    let window_len = |w: usize| mask.vectors_in_window(w) * S::SHAPE.n;
+    let counters = run_windows(mask, &mut values, window_len, sched.workers(), |w, out| {
+        SCRATCH.with(|cell| {
             let mut counters = KernelCounters::default();
-            for group in slices.chunks_mut(WINDOW_BATCH) {
-                let _span = fs_trace::span(fs_trace::Site::WindowBatch);
-                for (w, out) in group.iter_mut() {
-                    sddmm_window(mask, a, b, *w, out, scratch, &mut counters);
-                }
-            }
+            sddmm_window(mask, a, b, w, out, &mut cell.borrow_mut(), &mut counters);
             counters
-        }),
-        SchedMode::WorkStealing { workers } => {
-            let tasks: Vec<(u64, (usize, &mut [S]))> = slices
-                .into_iter()
-                .map(|(w, slice)| (mask.vectors_in_window(w) as u64 + 1, (w, slice)))
-                .collect();
-            let (parts, stats) = steal::run(workers, tasks, |(w, out)| {
-                let _span = fs_trace::span(fs_trace::Site::WindowBatch);
-                SCRATCH.with(|cell| {
-                    let scratch = &mut *cell.borrow_mut();
-                    let mut counters = KernelCounters::default();
-                    sddmm_window(mask, a, b, w, out, scratch, &mut counters);
-                    counters
-                })
-            });
-            record_steals(&stats);
-            parts.into_iter().sum()
-        }
-    };
-
+        })
+    });
     (mask.with_values(values), counters)
 }
 

@@ -21,12 +21,14 @@
 //!   (`Fast`) that produces bit-identical outputs and counters without
 //!   fragment materialization or transaction replay. The mode is selected
 //!   automatically — `Fast` whenever sanitize and chaos are both off —
-//!   and can be forced via the `*_with_mode` variants.
-//! * **Pipelined execution** ([`pipeline`]): a weighted work-stealing
-//!   window scheduler for the fast path ([`SchedMode`], bit-identical to
-//!   sequential execution) and a translate/compute overlap
-//!   ([`spmm_overlapped`]) that runs SpMM straight from CSR while the
-//!   ME-BCRS translation streams in slab by slab.
+//!   and can be pinned, together with the window scheduler, by passing
+//!   an [`ExecPlan`] to [`spmm_with`] / [`sddmm_with`] — one launch
+//!   function per op; the MMA shape is read off the operand's layout.
+//! * **Pipelined execution** ([`pipeline`]): one window driver under
+//!   every kernel, work-stealing on the fast path ([`SchedMode`],
+//!   bit-identical to sequential execution), and a translate/compute
+//!   overlap ([`spmm_overlapped`]) that runs SpMM straight from CSR while
+//!   the ME-BCRS translation streams in slab by slab.
 //!
 //! Kernels execute on the [`fs_tcu`] warp-level tensor-core simulator:
 //! results are numerically faithful to the hardware datapath (FP16/TF32
@@ -63,15 +65,13 @@ pub mod variant;
 pub use api::FlashSparseMatrix;
 pub use dispatch::TranslatedMatrix;
 pub use fs_tcu::ExecMode;
-pub use pipeline::{
-    sddmm_with_sched, spmm_fp16_k16_with_sched, spmm_overlapped, spmm_with_sched, SchedMode,
-};
+pub use pipeline::{spmm_overlapped, ExecPlan, SchedMode};
 pub use resilient::{
     outputs_match, spmm_resilient, verify_sampled_rows, FallbackLevel, ResilientReport,
     VerifyPolicy, DEFAULT_TOLERANCE,
 };
-pub use sddmm::{sddmm, sddmm_with_mode};
-pub use spmm::{spmm, spmm_f32, spmm_fp16_k16, spmm_fp16_k16_with_mode, spmm_with_mode};
+pub use sddmm::{sddmm, sddmm_with};
+pub use spmm::{spmm, spmm_f32, spmm_fp16_k16, spmm_with};
 pub use thread_map::ThreadMapping;
 pub use tune::{auto_tune, TuneChoice};
 pub use variant::TcuPrecision;

@@ -1,22 +1,22 @@
-//! Pipelined execution: window scheduling and translate/compute overlap.
+//! Pipelined execution: the launch plan, the window driver, and
+//! translate/compute overlap.
 //!
-//! Two independent mechanisms live here, both motivated by the same
-//! observation: FlashSparse's row windows are fully independent work
-//! units, so nothing forces the strict translate → tune → execute
-//! sequence the classic path runs.
+//! FlashSparse's row windows are fully independent work units, so
+//! nothing forces the strict translate → tune → execute sequence, nor an
+//! in-order walk over the windows of one launch. Three things live here:
 //!
-//! * **Window scheduling** ([`SchedMode`]). The fast path's static
-//!   `WINDOW_BATCH` chunking serializes a ragged launch behind whichever
-//!   chunk drew the heaviest windows (power-law graphs concentrate most
-//!   nonzero vectors in a few windows). `WorkStealing` hands each window
-//!   to a weighted work-stealing pool (`rayon::steal`): the initial
-//!   partition is longest-processing-time-first on per-window vector
-//!   counts, and idle workers steal half of the fullest victim's deque.
-//!   Outputs and [`KernelCounters`] are bit-identical to `Sequential` —
-//!   windows write disjoint output slices and every counter is a
-//!   commutative sum — which the `pipeline_props` suite checks
-//!   property-style.
-//!
+//! * **The launch plan** ([`ExecPlan`]): the two things a caller can
+//!   choose about a launch — simulator or fast path ([`ExecMode`]) and
+//!   the fast path's window scheduler ([`SchedMode`]) — as data, passed
+//!   to [`crate::spmm_with`] / [`crate::sddmm_with`].
+//! * **The window driver** (`run_windows`): every kernel, simulated or
+//!   fast, hands its windows to this one function, which runs them on a
+//!   weighted work-stealing pool (`rayon::steal`): the initial partition
+//!   is longest-processing-time-first on per-window vector counts
+//!   (power-law graphs concentrate most nonzero vectors in a few
+//!   windows), and idle workers steal half of the fullest victim's deque.
+//!   Bit-identical for every worker count, which the `pipeline_props`
+//!   suite checks property-style.
 //! * **Translate/compute overlap** ([`spmm_overlapped`]). A cold request
 //!   normally waits for the whole CSR → ME-BCRS translation before the
 //!   first MMA issues. Because slab boundaries at vector-height multiples
@@ -27,30 +27,31 @@
 //!   format is assembled from the slabs and handed back for caching, so
 //!   the translation work is not thrown away after serving the request.
 //!
-//! The serving engine composes the second mechanism with background
-//! auto-tuning for its overlapped cold path (DESIGN.md §14).
+//! The serving engine composes the overlap with background auto-tuning
+//! for its overlapped cold path (DESIGN.md §14).
 
 use fs_format::{MeBcrs, TcFormatSpec};
 use fs_matrix::{CsrMatrix, DenseMatrix};
-use fs_precision::{Tf32, F16};
-use fs_tcu::{ExecMode, KernelCounters, MmaShape, Precision};
+use fs_precision::Scalar;
+use fs_tcu::{ExecMode, KernelCounters, Precision};
+use rayon::steal;
 
 use crate::dispatch::TranslatedMatrix;
-use crate::fast::{sddmm_fast_sched, spmm_fast, spmm_fast_into, Panel};
+use crate::fast::{spmm_fast_into, Panel};
 use crate::spmm::{kernel_shape, trace_launch};
-use crate::thread_map::ThreadMapping;
 use crate::tune::TuneChoice;
 use crate::variant::TcuPrecision;
 
-/// How the fast path distributes row windows over threads.
+/// How the fast path distributes row windows over threads: a worker
+/// count, spelled two ways.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SchedMode {
-    /// In-order windows in `WINDOW_BATCH` groups on the calling thread —
-    /// the zero-overhead choice on single-core hosts and the reference
-    /// the bit-identity properties compare against.
+    /// In-order windows on the calling thread — `WorkStealing` with one
+    /// worker; what single-core hosts get and the reference the
+    /// bit-identity properties compare against.
     Sequential,
     /// Weighted work-stealing pool with `workers` threads (values `<= 1`
-    /// degrade to the sequential loop inside the pool).
+    /// are the sequential loop).
     WorkStealing {
         /// Pool size; clamped to the task count at launch.
         workers: usize,
@@ -83,76 +84,62 @@ impl SchedMode {
     }
 }
 
-/// [`fn@crate::spmm`] with an explicit window scheduler.
+/// How one kernel launch executes: which engine runs the row windows
+/// and, on the fast path, how they are spread over threads. The MMA
+/// shape is not a field — it follows from the operand's format.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ExecPlan {
+    /// Per-lane simulator or fused fast path (bit-identical results).
+    pub mode: ExecMode,
+    /// Window scheduler of the fast path. The simulator ignores it and
+    /// runs its windows in order on the calling thread, which is what
+    /// keeps seeded fault-injection replay byte-stable.
+    pub sched: SchedMode,
+}
+
+impl ExecPlan {
+    /// What every launch without an explicit plan runs:
+    /// [`ExecMode::auto`] and [`SchedMode::auto`].
+    pub fn auto() -> ExecPlan {
+        ExecPlan { mode: ExecMode::auto(), sched: SchedMode::auto() }
+    }
+}
+
+/// Run every row window of `a` for one launch and sum their counters.
 ///
-/// The scheduler only applies to the fast path; when [`ExecMode::auto`]
-/// selects the simulator (sanitize or chaos active), the launch runs the
-/// classic simulated kernel and `sched` is ignored — which is what keeps
-/// fault-injection replay byte-stable regardless of steal order.
-///
-/// # Panics
-/// Same contract as [`crate::spmm_with_mode`].
-pub fn spmm_with_sched<S: TcuPrecision>(
+/// `out` is cut into consecutive slices of `window_len(w)` elements;
+/// `kernel(w, slice)` runs once per window under a `window_batch` span,
+/// scheduled by the window's vector count. Windows own disjoint output
+/// and every counter is a commutative sum, so the result is the same
+/// bits for every `workers`; with `workers <= 1` the windows run in order
+/// on the calling thread (`rayon::steal::run`'s sequential
+/// short-circuit), which is how the simulated kernels call this.
+pub(crate) fn run_windows<S: Scalar, T: Send>(
     a: &MeBcrs<S>,
-    b: &DenseMatrix<S>,
-    mapping: ThreadMapping,
-    sched: SchedMode,
-) -> (DenseMatrix<S>, KernelCounters) {
-    let mode = ExecMode::auto();
-    if !mode.is_fast() {
-        return crate::spmm::spmm_with_mode(a, b, mapping, mode);
+    out: &mut [T],
+    window_len: impl Fn(usize) -> usize,
+    workers: usize,
+    kernel: impl Fn(usize, &mut [T]) -> KernelCounters + Sync,
+) -> KernelCounters {
+    let mut rest = out;
+    let mut tasks = Vec::with_capacity(a.num_windows());
+    for w in 0..a.num_windows() {
+        let (head, tail) = rest.split_at_mut(window_len(w));
+        // +1: an empty window still costs a dispatch.
+        tasks.push((a.vectors_in_window(w) as u64 + 1, (w, head)));
+        rest = tail;
     }
-    assert_eq!(a.spec(), S::SPEC, "format spec must match the kernel precision");
-    assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
-    let (out, counters) = spmm_fast(a, b, mapping, S::SHAPE, sched);
-    trace_launch(mode, &counters);
-    (out, counters)
-}
-
-/// [`crate::spmm_fp16_k16`] with an explicit window scheduler (see
-/// [`spmm_with_sched`] for the scheduler contract).
-///
-/// # Panics
-/// Same contract as [`crate::spmm_fp16_k16_with_mode`].
-pub fn spmm_fp16_k16_with_sched(
-    a: &MeBcrs<F16>,
-    b: &DenseMatrix<F16>,
-    mapping: ThreadMapping,
-    sched: SchedMode,
-) -> (DenseMatrix<F16>, KernelCounters) {
-    let mode = ExecMode::auto();
-    if !mode.is_fast() {
-        return crate::spmm::spmm_fp16_k16_with_mode(a, b, mapping, mode);
+    let (parts, stats) = steal::run(workers, tasks, |(w, slice)| {
+        let _span = fs_trace::span(fs_trace::Site::WindowBatch);
+        kernel(w, slice)
+    });
+    if stats.steals > 0 {
+        fs_trace::add(fs_trace::TraceCounter::Steals, stats.steals);
+        for d in &stats.steal_durations {
+            fs_trace::record_duration(fs_trace::Site::PipelineSteal, *d);
+        }
     }
-    assert_eq!(a.spec(), TcFormatSpec::FLASH_FP16_K16, "k16 kernel requires the k=16 layout");
-    assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
-    let (out, counters) = spmm_fast(a, b, mapping, MmaShape::M16N8K16_F16, sched);
-    trace_launch(mode, &counters);
-    (out, counters)
-}
-
-/// [`fn@crate::sddmm`] with an explicit window scheduler (see
-/// [`spmm_with_sched`] for the scheduler contract).
-///
-/// # Panics
-/// Same contract as [`crate::sddmm_with_mode`].
-pub fn sddmm_with_sched<S: TcuPrecision>(
-    mask: &MeBcrs<S>,
-    a: &DenseMatrix<S>,
-    b: &DenseMatrix<S>,
-    sched: SchedMode,
-) -> (MeBcrs<S>, KernelCounters) {
-    let mode = ExecMode::auto();
-    if !mode.is_fast() {
-        return crate::sddmm::sddmm_with_mode(mask, a, b, mode);
-    }
-    assert_eq!(mask.spec(), S::SPEC, "format spec must match the kernel precision");
-    assert_eq!(a.rows(), mask.rows(), "A rows must match mask rows");
-    assert_eq!(b.rows(), mask.cols(), "B rows must match mask cols");
-    assert_eq!(a.cols(), b.cols(), "A and B must share the inner dimension K");
-    let (out, counters) = sddmm_fast_sched(mask, a, b, sched);
-    trace_launch(mode, &counters);
-    (out, counters)
+    parts.into_iter().sum()
 }
 
 /// Row windows per translation slab. Large enough that per-slab
@@ -173,8 +160,10 @@ const SLAB_WINDOWS: usize = 32;
 /// because analytic addresses are array-local and slab arrays start at
 /// different sector offsets; MMA and FLOP counts are exact.
 ///
-/// Runs the fast path unconditionally, so callers must only take this
-/// route when [`ExecMode::auto`] is fast (the serving engine checks).
+/// The overlap exists only on the fast path. When [`ExecMode::auto`]
+/// selects the simulator (sanitize or chaos active) this is exactly
+/// that monolithic sequence — translate whole, then the simulated
+/// `spmm_f32` — so the sanitizer and every chaos site see the launch.
 ///
 /// # Panics
 /// Panics if the inner dimensions disagree.
@@ -185,21 +174,17 @@ pub fn spmm_overlapped(
     sched: SchedMode,
 ) -> (DenseMatrix<f32>, KernelCounters, TranslatedMatrix) {
     assert_eq!(csr.cols(), b.rows(), "inner dimensions must agree");
+    if !ExecMode::auto().is_fast() {
+        let format = TranslatedMatrix::translate(csr, choice);
+        let (out, counters) = format.spmm_f32(b, choice.mapping);
+        return (out, counters, format);
+    }
     let _span = fs_trace::span(fs_trace::Site::PipelineOverlap);
     fs_trace::add(fs_trace::TraceCounter::Overlaps, 1);
     let (out, counters, format) = match (choice.precision, choice.block_k) {
-        (Precision::Fp16, 8) => {
-            let (out, k, me) = overlapped_impl::<F16>(&csr.cast(), b, choice, sched);
-            (out, k, TranslatedMatrix::Fp16K8(me))
-        }
-        (Precision::Fp16, 16) => {
-            let (out, k, me) = overlapped_impl::<F16>(&csr.cast(), b, choice, sched);
-            (out, k, TranslatedMatrix::Fp16K16(me))
-        }
-        (Precision::Tf32, 4) => {
-            let (out, k, me) = overlapped_impl::<Tf32>(&csr.cast(), b, choice, sched);
-            (out, k, TranslatedMatrix::Tf32K4(me))
-        }
+        (Precision::Fp16, 8) => overlapped_impl(csr, b, choice, sched, TranslatedMatrix::Fp16K8),
+        (Precision::Fp16, 16) => overlapped_impl(csr, b, choice, sched, TranslatedMatrix::Fp16K16),
+        (Precision::Tf32, 4) => overlapped_impl(csr, b, choice, sched, TranslatedMatrix::Tf32K4),
         other => unreachable!("tuner never selects {other:?}"),
     };
     trace_launch(ExecMode::Fast, &counters);
@@ -208,20 +193,21 @@ pub fn spmm_overlapped(
 
 /// The monomorphic overlap pipeline: stager thread translating slabs,
 /// calling thread executing them against one shared panel of `b`
-/// (staged while the first slab translates), format assembled at the end.
+/// (staged while the first slab translates), format assembled at the end
+/// and wrapped in its `variant`.
 fn overlapped_impl<S: TcuPrecision>(
-    csr: &CsrMatrix<S>,
+    csr: &CsrMatrix<f32>,
     b: &DenseMatrix<f32>,
     choice: &TuneChoice,
     sched: SchedMode,
-) -> (DenseMatrix<f32>, KernelCounters, MeBcrs<S>) {
+    variant: fn(MeBcrs<S>) -> TranslatedMatrix,
+) -> (DenseMatrix<f32>, KernelCounters, TranslatedMatrix) {
+    let csr = &csr.cast::<S>();
     let spec = choice.spec();
     let shape = kernel_shape::<S>(spec);
-    let mapping = choice.mapping;
     let rows = csr.rows();
     let n = b.cols();
-    let v = spec.vector_len;
-    let slab_rows = SLAB_WINDOWS * v;
+    let slab_rows = SLAB_WINDOWS * spec.vector_len;
     let mut out = DenseMatrix::<f32>::zeros(rows, n);
 
     let (slabs, counters) = std::thread::scope(|s| {
@@ -250,7 +236,7 @@ fn overlapped_impl<S: TcuPrecision>(
             counters += spmm_fast_into(
                 &slab,
                 &panel,
-                mapping,
+                choice.mapping,
                 shape,
                 &mut out.as_mut_slice()[lo * n..hi * n],
                 sched,
@@ -260,7 +246,7 @@ fn overlapped_impl<S: TcuPrecision>(
         (slabs, counters)
     });
 
-    (out, counters, assemble(spec, csr.rows(), csr.cols(), &slabs))
+    (out, counters, variant(assemble(spec, csr.rows(), csr.cols(), &slabs)))
 }
 
 /// Concatenate per-slab translations into the whole-matrix ME-BCRS.
@@ -293,8 +279,10 @@ fn assemble<S: TcuPrecision>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::thread_map::ThreadMapping;
     use fs_matrix::gen::{random_uniform, rmat, RmatConfig};
     use fs_matrix::CsrMatrix;
+    use fs_precision::F16;
     use fs_tcu::GpuSpec;
 
     fn bits(m: &DenseMatrix<f32>) -> Vec<u32> {
@@ -379,13 +367,15 @@ mod tests {
     }
 
     #[test]
-    fn with_sched_entry_points_match_default_dispatch() {
+    fn auto_plan_matches_spmm() {
         let csr = CsrMatrix::from_coo(&random_uniform::<f32>(200, 160, 2500, 7));
         let b16 = DenseMatrix::<F16>::from_fn(160, 20, |r, c| ((r + c) % 9) as f32 * 0.125);
         let me = MeBcrs::from_csr(&csr.cast::<F16>(), TcFormatSpec::FLASH_FP16);
-        let (want, want_k) = crate::spmm(&me, &b16, ThreadMapping::MemoryEfficient);
-        for sched in [SchedMode::Sequential, SchedMode::WorkStealing { workers: 3 }] {
-            let (got, got_k) = spmm_with_sched(&me, &b16, ThreadMapping::MemoryEfficient, sched);
+        let mapping = ThreadMapping::MemoryEfficient;
+        let (want, want_k) = crate::spmm(&me, &b16, mapping);
+        let auto = ExecPlan::auto();
+        for sched in [auto.sched, SchedMode::Sequential, SchedMode::WorkStealing { workers: 3 }] {
+            let (got, got_k) = crate::spmm_with(&me, &b16, mapping, ExecPlan { sched, ..auto });
             assert_eq!(got.max_abs_diff(&want), 0.0, "{sched:?}");
             assert_eq!(got_k, want_k, "{sched:?}");
         }

@@ -22,16 +22,17 @@ use fs_precision::Scalar;
 use fs_tcu::{
     mma_execute, ExecMode, FragKind, Fragment, KernelCounters, TrafficClass, TransactionCounter,
 };
-use rayon::prelude::*;
 
-use crate::fast::{sddmm_fast, WINDOW_BATCH};
+use crate::fast::sddmm_fast;
+use crate::pipeline::{run_windows, ExecPlan};
 use crate::sanitize_hooks::{validate_format, SddmmShadow, ViolationSnapshot};
 use crate::variant::TcuPrecision;
 
 /// Nonzero vectors covered by one MMA (the post-swap `m` dimension).
 pub const VEC_GROUP: usize = 16;
 
-/// FlashSparse SDDMM: `C = (A × Bᵀ) ⊙ mask`, output in ME-BCRS.
+/// FlashSparse SDDMM: `C = (A × Bᵀ) ⊙ mask`, output in ME-BCRS, under
+/// [`ExecPlan::auto`].
 ///
 /// `mask` supplies both the sampled pattern and a per-entry scale (use
 /// unit values for pure sampling, e.g. graph attention). Returns the
@@ -39,38 +40,38 @@ pub const VEC_GROUP: usize = 16;
 /// execution counters.
 ///
 /// # Panics
-/// Panics on spec or dimension mismatch.
+/// See [`sddmm_with`].
 pub fn sddmm<S: TcuPrecision>(
     mask: &MeBcrs<S>,
     a: &DenseMatrix<S>,
     b: &DenseMatrix<S>,
 ) -> (MeBcrs<S>, KernelCounters) {
-    sddmm_with_mode(mask, a, b, ExecMode::auto())
+    sddmm_with(mask, a, b, ExecPlan::auto())
 }
 
-/// [`sddmm`] with an explicit [`ExecMode`] instead of the automatic
-/// selection. Both modes produce bit-identical output values and
-/// counters; `Fast` skips the simulator scaffolding and is the
-/// production path whenever sanitize and chaos are off.
+/// [`sddmm`] under an explicit [`ExecPlan`]. Both modes produce
+/// bit-identical output values and counters, under every scheduler;
+/// `Fast` skips the simulator scaffolding and is the production path
+/// whenever sanitize and chaos are off.
 ///
 /// # Panics
 /// Panics on spec or dimension mismatch, or — in `Fast` mode — if an
 /// unwitnessed `mask` fails the up-front structural validation.
-pub fn sddmm_with_mode<S: TcuPrecision>(
+pub fn sddmm_with<S: TcuPrecision>(
     mask: &MeBcrs<S>,
     a: &DenseMatrix<S>,
     b: &DenseMatrix<S>,
-    mode: ExecMode,
+    plan: ExecPlan,
 ) -> (MeBcrs<S>, KernelCounters) {
     assert_eq!(mask.spec(), S::SPEC, "format spec must match the kernel precision");
     assert_eq!(a.rows(), mask.rows(), "A rows must match mask rows");
     assert_eq!(b.rows(), mask.cols(), "B rows must match mask cols");
     assert_eq!(a.cols(), b.cols(), "A and B must share the inner dimension K");
-    let (out, counters) = match mode {
+    let (out, counters) = match plan.mode {
         ExecMode::Simulate => sddmm_simulated(mask, a, b),
-        ExecMode::Fast => sddmm_fast(mask, a, b),
+        ExecMode::Fast => sddmm_fast(mask, a, b, plan.sched),
     };
-    crate::spmm::trace_launch(mode, &counters);
+    crate::spmm::trace_launch(plan.mode, &counters);
     (out, counters)
 }
 
@@ -79,33 +80,18 @@ fn sddmm_simulated<S: TcuPrecision>(
     a: &DenseMatrix<S>,
     b: &DenseMatrix<S>,
 ) -> (MeBcrs<S>, KernelCounters) {
-    let v = S::SHAPE.n;
-    let num_windows = mask.num_windows();
     let mut values = vec![S::ZERO; mask.values().len()];
 
     let snapshot = ViolationSnapshot::take();
     validate_format(mask);
     let shadow = SddmmShadow::new_if_enabled(mask, a, b);
 
-    // Each window owns a disjoint slice of the output values array.
-    let mut slices: Vec<&mut [S]> = Vec::with_capacity(num_windows);
-    let mut rest = values.as_mut_slice();
-    for w in 0..num_windows {
-        let len = (mask.window_ptr()[w + 1] - mask.window_ptr()[w]) * v;
-        let (head, tail) = rest.split_at_mut(len);
-        slices.push(head);
-        rest = tail;
-    }
-
-    let mut counters: KernelCounters = slices
-        .into_par_iter()
-        .with_min_len(WINDOW_BATCH)
-        .enumerate()
-        .map(|(w, out)| {
-            let _span = fs_trace::span(fs_trace::Site::WindowBatch);
-            simulate_window(mask, a, b, w, out, shadow.as_ref())
-        })
-        .sum();
+    // One worker: in order on the calling thread, so fault draws replay
+    // byte for byte. Each window owns the values of its own vectors.
+    let window_len = |w: usize| mask.vectors_in_window(w) * S::SHAPE.n;
+    let mut counters = run_windows(mask, &mut values, window_len, 1, |w, out| {
+        simulate_window(mask, a, b, w, out, shadow.as_ref())
+    });
     snapshot.attribute(&mut counters);
 
     (mask.with_values(values), counters)

@@ -13,21 +13,24 @@
 //! output columns, twice the column coverage of the 16×1 SOTA layout at
 //! half the vector height (Figure 6 vs Figure 2).
 //!
-//! Each row window is an independent warp's work; windows run in parallel
-//! under Rayon, standing in for the GPU's thread blocks. Per-warp memory
-//! traffic is pushed through the 32-byte-sector transaction simulator with
-//! the selected [`ThreadMapping`].
+//! Each row window is an independent warp's work, standing in for one of
+//! the GPU's thread blocks. The simulated kernel runs its windows in
+//! order on the calling thread — on purpose: fault-injection draws and
+//! sanitizer reports then replay byte for byte — while the fast path
+//! may spread them over a work-stealing pool ([`ExecPlan::sched`]).
+//! Per-warp memory traffic is pushed through the 32-byte-sector
+//! transaction simulator with the selected [`ThreadMapping`].
 
-use fs_format::MeBcrs;
+use fs_format::{MeBcrs, TcFormatSpec};
 use fs_matrix::DenseMatrix;
+use fs_precision::F16;
 use fs_tcu::{
-    mma_execute, ExecMode, FragKind, Fragment, KernelCounters, ShadowRegion, TrafficClass,
-    TransactionCounter,
+    mma_execute, ExecMode, FragKind, Fragment, KernelCounters, MmaShape, Precision, ShadowRegion,
+    TrafficClass, TransactionCounter,
 };
-use rayon::prelude::*;
 
-use crate::fast::{spmm_fast, WINDOW_BATCH};
-use crate::pipeline::SchedMode;
+use crate::fast::{spmm_fast, Operand};
+use crate::pipeline::{run_windows, ExecPlan};
 use crate::sanitize_hooks::{validate_format, SpmmShadow, ViolationSnapshot};
 use crate::thread_map::{block_requests, ThreadMapping};
 use crate::variant::TcuPrecision;
@@ -36,82 +39,86 @@ use crate::variant::TcuPrecision;
 /// the swap).
 pub const N_TILE: usize = 16;
 
-/// FlashSparse SpMM: `C = A × B`.
+/// FlashSparse SpMM: `C = A × B`, under [`ExecPlan::auto`].
 ///
 /// Returns the output (stored at precision `S`, accumulated in f32 like the
 /// hardware) and the execution counters. `mapping` selects the dense-load /
-/// output-store thread mapping (the Figure 15 ablation).
+/// output-store thread mapping (the Figure 15 ablation). `a` may be in
+/// `S`'s own layout or, for FP16, the wide `k = 16` one: the MMA shape
+/// follows from `a.spec()`.
 ///
 /// # Panics
-/// Panics if `a` was built with a different spec than `S` requires, or if
-/// the inner dimensions disagree.
+/// See [`spmm_with`].
 pub fn spmm<S: TcuPrecision>(
     a: &MeBcrs<S>,
     b: &DenseMatrix<S>,
     mapping: ThreadMapping,
 ) -> (DenseMatrix<S>, KernelCounters) {
-    spmm_with_mode(a, b, mapping, ExecMode::auto())
+    spmm_with(a, b, mapping, ExecPlan::auto())
 }
 
-/// [`spmm`] with an explicit [`ExecMode`] instead of the automatic
-/// selection. Both modes produce bit-identical outputs and counters;
-/// `Fast` skips the simulator scaffolding (fragments, per-lane
-/// transaction replay, per-launch validation of witnessed matrices) and
-/// is the production path whenever sanitize and chaos are off.
-///
-/// # Panics
-/// Panics if `a` was built with a different spec than `S` requires, if
-/// the inner dimensions disagree, or — in `Fast` mode — if an
-/// unwitnessed `a` fails the up-front structural validation.
-pub fn spmm_with_mode<S: TcuPrecision>(
-    a: &MeBcrs<S>,
-    b: &DenseMatrix<S>,
-    mapping: ThreadMapping,
-    mode: ExecMode,
-) -> (DenseMatrix<S>, KernelCounters) {
-    assert_eq!(a.spec(), S::SPEC, "format spec must match the kernel precision");
-    assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
-    let (out, counters) = match mode {
-        ExecMode::Simulate => spmm_shaped(a, b, mapping, S::SHAPE),
-        ExecMode::Fast => spmm_fast(a, b, mapping, S::SHAPE, SchedMode::auto()),
-    };
-    trace_launch(mode, &counters);
-    (out, counters)
-}
-
-/// SpMM with f32 on both sides of the kernel `a`'s layout selects — the
-/// entry the serving dispatch, the overlapped cold path's cached format
-/// and the GNN operators share. `a` may be in `S`'s own layout or, for
-/// FP16, the wide `k = 16` one.
-///
-/// Bit-identical (output and counters) to casting `b` to `S`, running
-/// [`spmm`] / [`spmm_fp16_k16`] and widening the result — but on the
-/// fast path no `S`-typed copy of `b` or of the output is made: `b` is
-/// rounded to the MMA lattice once into the launch's f32 panel and each
-/// accumulator is rounded straight into the f32 output. Under
-/// [`ExecMode::Simulate`] (sanitize or chaos active) it performs exactly
-/// those casts around the simulated kernel.
+/// [`spmm`] under an explicit [`ExecPlan`]. Both modes produce
+/// bit-identical outputs and counters, under every scheduler; `Fast`
+/// skips the simulator scaffolding (fragments, per-lane transaction
+/// replay, per-launch validation of witnessed matrices) and is the
+/// production path whenever sanitize and chaos are off.
 ///
 /// # Panics
 /// Panics if `a`'s layout is not one `S` has a kernel for, if the inner
-/// dimensions disagree, or — on the fast path — if an unwitnessed `a`
+/// dimensions disagree, or — in `Fast` mode — if an unwitnessed `a`
 /// fails the up-front structural validation.
+pub fn spmm_with<S: TcuPrecision>(
+    a: &MeBcrs<S>,
+    b: &DenseMatrix<S>,
+    mapping: ThreadMapping,
+    plan: ExecPlan,
+) -> (DenseMatrix<S>, KernelCounters) {
+    launch(a, b, mapping, plan, |shape| spmm_simulated(a, b, mapping, shape))
+}
+
+/// [`spmm`] with f32 on both sides of the kernel — the entry the serving
+/// dispatch, the overlapped cold path's cached format and the GNN
+/// operators share.
+///
+/// Bit-identical (output and counters) to casting `b` to `S`, running
+/// [`spmm`] and widening the result — but on the fast path no `S`-typed
+/// copy of `b` or of the output is made: `b` is rounded to the MMA
+/// lattice once into the launch's f32 panel and each accumulator is
+/// rounded straight into the f32 output. Under [`ExecMode::Simulate`]
+/// (sanitize or chaos active) it performs exactly those casts around
+/// the simulated kernel.
+///
+/// # Panics
+/// See [`spmm_with`].
 pub fn spmm_f32<S: TcuPrecision>(
     a: &MeBcrs<S>,
     b: &DenseMatrix<f32>,
     mapping: ThreadMapping,
 ) -> (DenseMatrix<f32>, KernelCounters) {
+    launch(a, b, mapping, ExecPlan::auto(), |shape| {
+        let (out, counters) = spmm_simulated(a, &b.cast::<S>(), mapping, shape);
+        (out.cast::<f32>(), counters)
+    })
+}
+
+/// The one SpMM launch: check the operands, pick the MMA shape from the
+/// layout, run `plan.mode`'s kernel, account the launch. `simulate` is
+/// the caller's route onto the `S`-typed simulated kernel (direct for
+/// typed operands, through casts for f32 ones).
+fn launch<S: TcuPrecision, T: Operand<S>>(
+    a: &MeBcrs<S>,
+    b: &DenseMatrix<T>,
+    mapping: ThreadMapping,
+    plan: ExecPlan,
+    simulate: impl FnOnce(MmaShape) -> (DenseMatrix<T>, KernelCounters),
+) -> (DenseMatrix<T>, KernelCounters) {
     let shape = kernel_shape::<S>(a.spec());
     assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
-    let mode = ExecMode::auto();
-    let (out, counters) = match mode {
-        ExecMode::Simulate => {
-            let (out, counters) = spmm_shaped(a, &b.cast::<S>(), mapping, shape);
-            (out.cast::<f32>(), counters)
-        }
-        ExecMode::Fast => spmm_fast(a, b, mapping, shape, SchedMode::auto()),
+    let (out, counters) = match plan.mode {
+        ExecMode::Simulate => simulate(shape),
+        ExecMode::Fast => spmm_fast(a, b, mapping, shape, plan.sched),
     };
-    trace_launch(mode, &counters);
+    trace_launch(plan.mode, &counters);
     (out, counters)
 }
 
@@ -120,12 +127,11 @@ pub fn spmm_f32<S: TcuPrecision>(
 ///
 /// # Panics
 /// Panics if `S` has no kernel for `spec`.
-pub(crate) fn kernel_shape<S: TcuPrecision>(spec: fs_format::TcFormatSpec) -> fs_tcu::MmaShape {
-    let wide_fp16 =
-        S::PRECISION == fs_tcu::Precision::Fp16 && spec == fs_format::TcFormatSpec::FLASH_FP16_K16;
+pub(crate) fn kernel_shape<S: TcuPrecision>(spec: TcFormatSpec) -> MmaShape {
+    let wide_fp16 = S::PRECISION == Precision::Fp16 && spec == TcFormatSpec::FLASH_FP16_K16;
     assert!(spec == S::SPEC || wide_fp16, "no {} kernel for layout {spec:?}", S::NAME);
     if wide_fp16 {
-        fs_tcu::MmaShape::M16N8K16_F16
+        MmaShape::M16N8K16_F16
     } else {
         S::SHAPE
     }
@@ -144,59 +150,33 @@ pub(crate) fn trace_launch(mode: ExecMode, counters: &KernelCounters) {
     fs_trace::add(if mode.is_fast() { C::ExecFast } else { C::ExecSimulate }, 1);
 }
 
-/// FlashSparse SpMM with the wide FP16 MMA (`mma.m16n8k16`): sparse TC
-/// blocks are 8×16 instead of 8×8 — half the MMA instructions per window
-/// at the cost of more zero fill in ragged blocks. `a` must be built with
-/// [`fs_format::TcFormatSpec::FLASH_FP16_K16`]. The block-width ablation
-/// of DESIGN.md.
-pub fn spmm_fp16_k16(
-    a: &MeBcrs<fs_precision::F16>,
-    b: &DenseMatrix<fs_precision::F16>,
-    mapping: ThreadMapping,
-) -> (DenseMatrix<fs_precision::F16>, KernelCounters) {
-    spmm_fp16_k16_with_mode(a, b, mapping, ExecMode::auto())
-}
-
-/// [`spmm_fp16_k16`] with an explicit [`ExecMode`] (see
-/// [`spmm_with_mode`] for the mode contract).
+/// [`spmm`] for callers that require the wide FP16 MMA (`mma.m16n8k16`):
+/// sparse TC blocks are 8×16 instead of 8×8 — half the MMA instructions
+/// per window at the cost of more zero fill in ragged blocks. The
+/// block-width ablation of DESIGN.md.
 ///
 /// # Panics
-/// Panics if `a` is not in the k=16 layout, if the inner dimensions
-/// disagree, or — in `Fast` mode — if an unwitnessed `a` fails the
-/// up-front structural validation.
-pub fn spmm_fp16_k16_with_mode(
-    a: &MeBcrs<fs_precision::F16>,
-    b: &DenseMatrix<fs_precision::F16>,
+/// Panics if `a` was not built with [`TcFormatSpec::FLASH_FP16_K16`];
+/// otherwise see [`spmm_with`].
+pub fn spmm_fp16_k16(
+    a: &MeBcrs<F16>,
+    b: &DenseMatrix<F16>,
     mapping: ThreadMapping,
-    mode: ExecMode,
-) -> (DenseMatrix<fs_precision::F16>, KernelCounters) {
-    assert_eq!(
-        a.spec(),
-        fs_format::TcFormatSpec::FLASH_FP16_K16,
-        "k16 kernel requires the k=16 layout"
-    );
-    assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
-    let (out, counters) = match mode {
-        ExecMode::Simulate => spmm_shaped(a, b, mapping, fs_tcu::MmaShape::M16N8K16_F16),
-        ExecMode::Fast => {
-            spmm_fast(a, b, mapping, fs_tcu::MmaShape::M16N8K16_F16, SchedMode::auto())
-        }
-    };
-    trace_launch(mode, &counters);
-    (out, counters)
+) -> (DenseMatrix<F16>, KernelCounters) {
+    assert_eq!(a.spec(), TcFormatSpec::FLASH_FP16_K16, "k16 kernel requires the k=16 layout");
+    spmm(a, b, mapping)
 }
 
-fn spmm_shaped<S: TcuPrecision>(
+fn spmm_simulated<S: TcuPrecision>(
     a: &MeBcrs<S>,
     b: &DenseMatrix<S>,
     mapping: ThreadMapping,
-    shape: fs_tcu::MmaShape,
+    shape: MmaShape,
 ) -> (DenseMatrix<S>, KernelCounters) {
     assert_eq!(shape.precision, S::PRECISION, "shape precision must match the scalar");
     assert_eq!(shape.n, a.spec().vector_len, "vector height must equal the MMA n");
     assert_eq!(shape.k, a.spec().block_k, "block width must equal the MMA k");
     assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
-    let v = shape.n; // 8: window height after the swap
     let n = b.cols();
     let rows = a.rows();
 
@@ -208,15 +188,10 @@ fn spmm_shaped<S: TcuPrecision>(
         KernelCounters::default()
     } else {
         let shadow = SpmmShadow::new_if_enabled(a, b, (rows * n * S::BYTES) as u64);
-        out.as_mut_slice()
-            .par_chunks_mut(v * n)
-            .with_min_len(WINDOW_BATCH)
-            .enumerate()
-            .map(|(w, out_window)| {
-                let _span = fs_trace::span(fs_trace::Site::WindowBatch);
-                simulate_window(a, b, mapping, w, out_window, shape, shadow.as_ref())
-            })
-            .sum()
+        let window_len = |w: usize| (rows - w * shape.n).min(shape.n) * n;
+        run_windows(a, out.as_mut_slice(), window_len, 1, |w, out_window| {
+            simulate_window(a, b, mapping, w, out_window, shape, shadow.as_ref())
+        })
     };
     snapshot.attribute(&mut counters);
 
@@ -231,7 +206,7 @@ fn simulate_window<S: TcuPrecision>(
     mapping: ThreadMapping,
     w: usize,
     out_window: &mut [S],
-    shape: fs_tcu::MmaShape,
+    shape: MmaShape,
     shadow: Option<&SpmmShadow>,
 ) -> KernelCounters {
     let v = shape.n;

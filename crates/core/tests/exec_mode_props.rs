@@ -3,7 +3,8 @@
 //! [`KernelCounters`] field — across precisions, MMA shapes, thread
 //! mappings, and ragged shapes (rows not a multiple of the window,
 //! dense columns not a multiple of the 16-wide tile, ragged last
-//! blocks, ragged K) — and across operand *values* the arithmetic is
+//! blocks, ragged K), under every window scheduler (the simulator
+//! ignores it) — and across operand *values* the arithmetic is
 //! not closed over: `±inf`, `NaN`, FP16 overflow, signed zeros and
 //! subnormals, which is what guards the fast path's finite-only zero
 //! skip (`0 × inf = NaN` in the simulator).
@@ -14,7 +15,7 @@
 //! would otherwise flip concurrently-running launches into Simulate).
 
 use flashsparse::{
-    sddmm_with_mode, spmm_fp16_k16_with_mode, spmm_with_mode, TcuPrecision, ThreadMapping,
+    sddmm_with, spmm, spmm_fp16_k16, spmm_with, ExecPlan, SchedMode, TcuPrecision, ThreadMapping,
 };
 use fs_format::{MeBcrs, TcFormatSpec};
 use fs_matrix::gen::random_uniform;
@@ -24,6 +25,18 @@ use fs_tcu::ExecMode;
 use proptest::prelude::*;
 
 const MAPPINGS: [ThreadMapping; 2] = [ThreadMapping::Direct, ThreadMapping::MemoryEfficient];
+const MODES: [ExecMode; 2] = [ExecMode::Fast, ExecMode::Simulate];
+/// Both spellings of one worker, a small pool, and one larger than the
+/// host's core count.
+const SCHEDS: [SchedMode; 4] = [
+    SchedMode::Sequential,
+    SchedMode::WorkStealing { workers: 1 },
+    SchedMode::WorkStealing { workers: 3 },
+    SchedMode::WorkStealing { workers: 7 },
+];
+/// The simulator as the oracle: it never reads the scheduler.
+const ORACLE: ExecPlan = ExecPlan { mode: ExecMode::Simulate, sched: SchedMode::Sequential };
+const FAST: ExecPlan = ExecPlan { mode: ExecMode::Fast, sched: SchedMode::Sequential };
 
 /// Bit pattern of every stored element, widened exactly to f32 (the
 /// widening preserves distinct f16/tf32 payloads including signed
@@ -46,16 +59,23 @@ fn arb_spmm_case() -> impl Strategy<Value = (CsrMatrix<f32>, usize, u64)> {
     )
 }
 
-fn check_spmm<S: TcuPrecision>(csr: &CsrMatrix<f32>, n: usize, seed: u64) {
-    let me = MeBcrs::from_csr(&csr.cast::<S>(), S::SPEC);
+/// One layout of `S` (its own, or FP16's wide `k = 16`) under every
+/// `mode × sched` plan: output bits and counters all equal the oracle's.
+fn check_spmm<S: TcuPrecision>(spec: TcFormatSpec, csr: &CsrMatrix<f32>, n: usize, seed: u64) {
+    let me = MeBcrs::from_csr(&csr.cast::<S>(), spec);
     let b = DenseMatrix::<S>::from_fn(csr.cols(), n, |r, c| {
         ((((r * 7 + c * 5 + seed as usize) % 17) as f32) - 8.0) * 0.25
     });
     for mapping in MAPPINGS {
-        let (c_sim, k_sim) = spmm_with_mode(&me, &b, mapping, ExecMode::Simulate);
-        let (c_fast, k_fast) = spmm_with_mode(&me, &b, mapping, ExecMode::Fast);
-        assert_eq!(dense_bits(&c_sim), dense_bits(&c_fast), "{} {mapping:?} output", S::NAME);
-        assert_eq!(k_sim, k_fast, "{} {mapping:?} counters", S::NAME);
+        let (c_sim, k_sim) = spmm_with(&me, &b, mapping, ORACLE);
+        for mode in MODES {
+            for sched in SCHEDS {
+                let (c, k) = spmm_with(&me, &b, mapping, ExecPlan { mode, sched });
+                let what = format!("{} k{} {mapping:?} {mode:?} {sched:?}", S::NAME, spec.block_k);
+                assert_eq!(dense_bits(&c_sim), dense_bits(&c), "{what} output");
+                assert_eq!(k_sim, k, "{what} counters");
+            }
+        }
     }
 }
 
@@ -150,62 +170,57 @@ proptest! {
         let (rows, cols, nnz, n, seed, special_mask) = case;
         let csr = CsrMatrix::from_coo(&random_uniform::<f32>(rows, cols, nnz, seed));
         let (a, b) = salted_case(&csr, n, seed, special_mask);
-        fn check<S: TcuPrecision>(a: &CsrMatrix<f32>, b: &DenseMatrix<f32>) {
-            let me = MeBcrs::from_csr(&a.cast::<S>(), S::SPEC);
+        fn check<S: TcuPrecision>(spec: TcFormatSpec, a: &CsrMatrix<f32>, b: &DenseMatrix<f32>) {
+            let me = MeBcrs::from_csr(&a.cast::<S>(), spec);
             let b = b.cast::<S>();
             for mapping in MAPPINGS {
-                let (c_sim, k_sim) = spmm_with_mode(&me, &b, mapping, ExecMode::Simulate);
-                let (c_fast, k_fast) = spmm_with_mode(&me, &b, mapping, ExecMode::Fast);
+                let (c_sim, k_sim) = spmm_with(&me, &b, mapping, ORACLE);
+                let (c_fast, k_fast) = spmm_with(&me, &b, mapping, FAST);
                 assert_eq!(
                     dense_bits_nan_class(&c_sim),
                     dense_bits_nan_class(&c_fast),
-                    "{} {mapping:?}",
-                    S::NAME
+                    "{} k{} {mapping:?}",
+                    S::NAME,
+                    spec.block_k
                 );
-                assert_eq!(k_sim, k_fast, "{} {mapping:?} counters", S::NAME);
+                assert_eq!(k_sim, k_fast, "{} k{} {mapping:?} counters", S::NAME, spec.block_k);
             }
         }
-        check::<F16>(&a, &b);
-        check::<Tf32>(&a, &b);
-        let me = MeBcrs::from_csr(&a.cast::<F16>(), TcFormatSpec::FLASH_FP16_K16);
-        let b16 = b.cast::<F16>();
-        for mapping in MAPPINGS {
-            let (c_sim, k_sim) = spmm_fp16_k16_with_mode(&me, &b16, mapping, ExecMode::Simulate);
-            let (c_fast, k_fast) = spmm_fp16_k16_with_mode(&me, &b16, mapping, ExecMode::Fast);
-            prop_assert_eq!(
-                dense_bits_nan_class(&c_sim), dense_bits_nan_class(&c_fast), "k16 {:?}", mapping);
-            prop_assert_eq!(k_sim, k_fast, "k16 {:?} counters", mapping);
-        }
+        check::<F16>(F16::SPEC, &a, &b);
+        check::<Tf32>(Tf32::SPEC, &a, &b);
+        check::<F16>(TcFormatSpec::FLASH_FP16_K16, &a, &b);
     }
 
     /// FP16 `m16n8k8` SpMM: outputs and counters bit-identical.
     #[test]
     fn spmm_fp16_fast_is_bit_identical(case in arb_spmm_case()) {
         let (csr, n, seed) = case;
-        check_spmm::<F16>(&csr, n, seed);
+        check_spmm::<F16>(F16::SPEC, &csr, n, seed);
     }
 
     /// TF32 `m16n8k4` SpMM: outputs and counters bit-identical.
     #[test]
     fn spmm_tf32_fast_is_bit_identical(case in arb_spmm_case()) {
         let (csr, n, seed) = case;
-        check_spmm::<Tf32>(&csr, n, seed);
+        check_spmm::<Tf32>(Tf32::SPEC, &csr, n, seed);
     }
 
     /// FP16 `m16n8k16` SpMM (wide blocks): outputs and counters
-    /// bit-identical.
+    /// bit-identical — the same property, the layout being an input —
+    /// and `spmm_fp16_k16` is `spmm` on that layout.
     #[test]
     fn spmm_k16_fast_is_bit_identical(case in arb_spmm_case()) {
         let (csr, n, seed) = case;
+        check_spmm::<F16>(TcFormatSpec::FLASH_FP16_K16, &csr, n, seed);
         let me = MeBcrs::from_csr(&csr.cast::<F16>(), TcFormatSpec::FLASH_FP16_K16);
         let b = DenseMatrix::<F16>::from_fn(csr.cols(), n, |r, c| {
             ((((r * 3 + c * 11 + seed as usize) % 13) as f32) - 6.0) * 0.25
         });
         for mapping in MAPPINGS {
-            let (c_sim, k_sim) = spmm_fp16_k16_with_mode(&me, &b, mapping, ExecMode::Simulate);
-            let (c_fast, k_fast) = spmm_fp16_k16_with_mode(&me, &b, mapping, ExecMode::Fast);
-            prop_assert_eq!(dense_bits(&c_sim), dense_bits(&c_fast), "{:?} output", mapping);
-            prop_assert_eq!(k_sim, k_fast, "{:?} counters", mapping);
+            let (c_any, k_any) = spmm(&me, &b, mapping);
+            let (c_k16, k_k16) = spmm_fp16_k16(&me, &b, mapping);
+            prop_assert_eq!(dense_bits(&c_any), dense_bits(&c_k16), "{:?} output", mapping);
+            prop_assert_eq!(k_any, k_k16, "{:?} counters", mapping);
         }
     }
 
@@ -228,8 +243,8 @@ proptest! {
             let b = DenseMatrix::<S>::from_fn(csr.cols(), kk, |r, c| {
                 ((((r * 2 + c * 7 + seed as usize) % 9) as f32) - 4.0) * 0.25
             });
-            let (o_sim, k_sim) = sddmm_with_mode(&mask, &a, &b, ExecMode::Simulate);
-            let (o_fast, k_fast) = sddmm_with_mode(&mask, &a, &b, ExecMode::Fast);
+            let (o_sim, k_sim) = sddmm_with(&mask, &a, &b, ORACLE);
+            let (o_fast, k_fast) = sddmm_with(&mask, &a, &b, FAST);
             assert_eq!(value_bits(&o_sim), value_bits(&o_fast), "{} values", S::NAME);
             assert_eq!(o_sim.nnz(), o_fast.nnz(), "{} nnz", S::NAME);
             assert_eq!(k_sim, k_fast, "{} counters", S::NAME);

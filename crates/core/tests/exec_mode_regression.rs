@@ -6,8 +6,8 @@
 //! pick their mode automatically, so exercising both takes a scope.
 
 use flashsparse::{
-    spmm, spmm_fp16_k16_with_sched, spmm_overlapped, spmm_with_sched, SchedMode, ThreadMapping,
-    TranslatedMatrix, TuneChoice,
+    spmm, spmm_overlapped, spmm_with, ExecPlan, SchedMode, ThreadMapping, TranslatedMatrix,
+    TuneChoice,
 };
 use fs_chaos::{ChaosScope, FaultPlan, FaultSite};
 use fs_format::{MeBcrs, TcFormatSpec};
@@ -87,17 +87,14 @@ fn typed_reference(
     mapping: ThreadMapping,
     sched: SchedMode,
 ) -> (DenseMatrix<f32>, KernelCounters) {
+    let plan = ExecPlan { sched, ..ExecPlan::auto() };
     match t {
-        TranslatedMatrix::Fp16K8(me) => {
-            let (c, k) = spmm_with_sched(me, &b.cast::<F16>(), mapping, sched);
-            (c.cast::<f32>(), k)
-        }
-        TranslatedMatrix::Fp16K16(me) => {
-            let (c, k) = spmm_fp16_k16_with_sched(me, &b.cast::<F16>(), mapping, sched);
+        TranslatedMatrix::Fp16K8(me) | TranslatedMatrix::Fp16K16(me) => {
+            let (c, k) = spmm_with(me, &b.cast::<F16>(), mapping, plan);
             (c.cast::<f32>(), k)
         }
         TranslatedMatrix::Tf32K4(me) => {
-            let (c, k) = spmm_with_sched(me, &b.cast::<Tf32>(), mapping, sched);
+            let (c, k) = spmm_with(me, &b.cast::<Tf32>(), mapping, plan);
             (c.cast::<f32>(), k)
         }
     }
@@ -154,6 +151,48 @@ fn f32_entry_points_are_the_typed_kernel() {
             assert_eq!(got_k, want_k, "{name} simulate counters");
             assert_eq!(bits(&got), bits(&fast.0), "{name} simulate vs fast");
             assert_eq!(got_k, fast.1, "{name} simulate vs fast counters");
+        }
+    }
+}
+
+#[test]
+fn overlapped_runs_the_simulator_when_a_scope_forces_it() {
+    // `spmm_overlapped` is public: called under an armed sanitizer or
+    // fault plan it must be the monolithic simulated launch (translate
+    // whole, then `spmm_f32`), not a fast path that skips both.
+    // 300 rows = two translation slabs with a ragged last window.
+    let csr = CsrMatrix::from_coo(&random_uniform::<f32>(300, 200, 3000, 11));
+    let b = DenseMatrix::<f32>::from_fn(200, 24, |r, c| ((r * 3 + c) % 13) as f32 * 0.123_456_7);
+    let choice = TuneChoice::FALLBACK;
+    let sched = SchedMode::WorkStealing { workers: 3 };
+    let faults = FaultPlan::new(3).with_rate(FaultSite::FragBitFlip, 0.0001);
+    // Chaos armed, then the sanitizer armed. Each phase holds a sanitize
+    // scope and then a chaos scope (the lock order above), so no other
+    // test's launch reaches the trace counters; the plan is re-installed
+    // per launch so both replay the same fault draws.
+    let phases: [(fn() -> SanitizeScope, FaultPlan); 2] =
+        [(SanitizeScope::off, faults), (SanitizeScope::record, FaultPlan::new(0))];
+    for (sanitize, plan) in phases {
+        let _sanitize = sanitize();
+        let (want, want_k) = {
+            let _chaos = ChaosScope::install(plan.clone());
+            assert_eq!(ExecMode::auto(), ExecMode::Simulate);
+            TranslatedMatrix::translate(&csr, &choice).spmm_f32(&b, choice.mapping)
+        };
+        let _chaos = ChaosScope::install(plan.clone());
+        let _trace = fs_trace::TraceScope::armed();
+        let (got, got_k, format) = spmm_overlapped(&csr, &b, &choice, sched);
+        let snap = fs_trace::snapshot();
+        assert_eq!(snap.counter(fs_trace::TraceCounter::ExecSimulate), 1);
+        assert_eq!(snap.counter(fs_trace::TraceCounter::ExecFast), 0);
+        assert_eq!(snap.counter(fs_trace::TraceCounter::Overlaps), 0);
+        assert_eq!(bits(&got), bits(&want));
+        assert_eq!(got_k, want_k);
+        assert!(format.is_validated());
+        assert_eq!((format.rows(), format.cols(), format.nnz()), (300, 200, csr.nnz()));
+        if plan.is_active() {
+            let evaluated = fs_chaos::report().evaluated[FaultSite::FragBitFlip.index()];
+            assert!(evaluated > 0, "the launch must reach the kernel chaos sites");
         }
     }
 }

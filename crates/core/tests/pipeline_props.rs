@@ -15,10 +15,7 @@
 //! No sanitize/chaos scope is held here (see `exec_mode_props.rs` for
 //! why that keeps the properties parallel-safe).
 
-use flashsparse::{
-    sddmm_with_sched, spmm_fp16_k16_with_sched, spmm_with_sched, SchedMode, TcuPrecision,
-    ThreadMapping,
-};
+use flashsparse::{sddmm_with, spmm_with, ExecPlan, SchedMode, TcuPrecision, ThreadMapping};
 use fs_format::{MeBcrs, TcFormatSpec};
 use fs_matrix::gen::random_uniform;
 use fs_matrix::{CooMatrix, CsrMatrix, DenseMatrix};
@@ -30,6 +27,11 @@ const MAPPINGS: [ThreadMapping; 2] = [ThreadMapping::Direct, ThreadMapping::Memo
 /// (steals rare) and one larger than this host's core count (steals
 /// constant, most workers start empty under the LPT partition).
 const POOLS: [usize; 2] = [2, 7];
+
+/// The automatic plan (the fast path: no scope is held) on `sched`.
+fn on(sched: SchedMode) -> ExecPlan {
+    ExecPlan { sched, ..ExecPlan::auto() }
+}
 
 /// Bit pattern of every stored element, widened exactly to f32 (the
 /// widening preserves distinct f16/tf32 payloads including signed
@@ -86,23 +88,18 @@ fn arb_skew_case() -> impl Strategy<Value = (CsrMatrix<f32>, usize, u64)> {
     )
 }
 
-fn check_spmm<S: TcuPrecision>(csr: &CsrMatrix<f32>, n: usize, seed: u64) {
-    let me = MeBcrs::from_csr(&csr.cast::<S>(), S::SPEC);
+fn check_spmm<S: TcuPrecision>(spec: TcFormatSpec, csr: &CsrMatrix<f32>, n: usize, seed: u64) {
+    let me = MeBcrs::from_csr(&csr.cast::<S>(), spec);
     let b = DenseMatrix::<S>::from_fn(csr.cols(), n, |r, c| {
         ((((r * 7 + c * 5 + seed as usize) % 17) as f32) - 8.0) * 0.25
     });
     for mapping in MAPPINGS {
-        let (c_seq, k_seq) = spmm_with_sched(&me, &b, mapping, SchedMode::Sequential);
+        let (c_seq, k_seq) = spmm_with(&me, &b, mapping, on(SchedMode::Sequential));
         for workers in POOLS {
-            let (c_ws, k_ws) =
-                spmm_with_sched(&me, &b, mapping, SchedMode::WorkStealing { workers });
-            assert_eq!(
-                dense_bits(&c_seq),
-                dense_bits(&c_ws),
-                "{} {mapping:?} x{workers} output",
-                S::NAME
-            );
-            assert_eq!(k_seq, k_ws, "{} {mapping:?} x{workers} counters", S::NAME);
+            let (c_ws, k_ws) = spmm_with(&me, &b, mapping, on(SchedMode::WorkStealing { workers }));
+            let what = format!("{} k{} {mapping:?} x{workers}", S::NAME, spec.block_k);
+            assert_eq!(dense_bits(&c_seq), dense_bits(&c_ws), "{what} output");
+            assert_eq!(k_seq, k_ws, "{what} counters");
         }
     }
 }
@@ -115,9 +112,9 @@ fn check_sddmm<S: TcuPrecision>(csr: &CsrMatrix<f32>, kk: usize, seed: u64) {
     let b = DenseMatrix::<S>::from_fn(csr.cols(), kk, |r, c| {
         ((((r * 2 + c * 7 + seed as usize) % 9) as f32) - 4.0) * 0.25
     });
-    let (o_seq, k_seq) = sddmm_with_sched(&mask, &a, &b, SchedMode::Sequential);
+    let (o_seq, k_seq) = sddmm_with(&mask, &a, &b, on(SchedMode::Sequential));
     for workers in POOLS {
-        let (o_ws, k_ws) = sddmm_with_sched(&mask, &a, &b, SchedMode::WorkStealing { workers });
+        let (o_ws, k_ws) = sddmm_with(&mask, &a, &b, on(SchedMode::WorkStealing { workers }));
         assert_eq!(value_bits(&o_seq), value_bits(&o_ws), "{} x{workers} values", S::NAME);
         assert_eq!(o_seq.nnz(), o_ws.nnz(), "{} x{workers} nnz", S::NAME);
         assert_eq!(k_seq, k_ws, "{} x{workers} counters", S::NAME);
@@ -132,8 +129,8 @@ proptest! {
     #[test]
     fn spmm_steal_is_bit_identical(case in arb_uniform_case()) {
         let (csr, n, seed) = case;
-        check_spmm::<F16>(&csr, n, seed);
-        check_spmm::<Tf32>(&csr, n, seed);
+        check_spmm::<F16>(F16::SPEC, &csr, n, seed);
+        check_spmm::<Tf32>(Tf32::SPEC, &csr, n, seed);
     }
 
     /// Same property with every nonzero packed into one window — the
@@ -142,31 +139,16 @@ proptest! {
     #[test]
     fn spmm_steal_survives_one_window_skew(case in arb_skew_case()) {
         let (csr, n, seed) = case;
-        check_spmm::<F16>(&csr, n, seed);
-        check_spmm::<Tf32>(&csr, n, seed);
+        check_spmm::<F16>(F16::SPEC, &csr, n, seed);
+        check_spmm::<Tf32>(Tf32::SPEC, &csr, n, seed);
     }
 
     /// FP16 `m16n8k16` (wide blocks): scheduler bit-identity holds for
-    /// the k=16 layout too.
+    /// the k=16 layout too — the same property, the layout an input.
     #[test]
     fn spmm_k16_steal_is_bit_identical(case in arb_uniform_case()) {
         let (csr, n, seed) = case;
-        let me = MeBcrs::from_csr(&csr.cast::<F16>(), TcFormatSpec::FLASH_FP16_K16);
-        let b = DenseMatrix::<F16>::from_fn(csr.cols(), n, |r, c| {
-            ((((r * 3 + c * 11 + seed as usize) % 13) as f32) - 6.0) * 0.25
-        });
-        for mapping in MAPPINGS {
-            let (c_seq, k_seq) =
-                spmm_fp16_k16_with_sched(&me, &b, mapping, SchedMode::Sequential);
-            for workers in POOLS {
-                let (c_ws, k_ws) = spmm_fp16_k16_with_sched(
-                    &me, &b, mapping, SchedMode::WorkStealing { workers });
-                prop_assert_eq!(
-                    dense_bits(&c_seq), dense_bits(&c_ws),
-                    "{:?} x{} output", mapping, workers);
-                prop_assert_eq!(k_seq, k_ws, "{:?} x{} counters", mapping, workers);
-            }
-        }
+        check_spmm::<F16>(TcFormatSpec::FLASH_FP16_K16, &csr, n, seed);
     }
 
     /// SDDMM (FP16 and TF32, ragged K, uniform and skewed): scheduler

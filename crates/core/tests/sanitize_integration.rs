@@ -3,7 +3,7 @@
 //! translation must surface format violations through the regular
 //! [`KernelCounters`] path.
 
-use flashsparse::{sddmm, spmm, ThreadMapping};
+use flashsparse::{sddmm, spmm, spmm_with, ExecPlan, ThreadMapping};
 use fs_format::{MeBcrs, TcFormatSpec};
 use fs_matrix::gen::random_uniform;
 use fs_matrix::{CsrMatrix, DenseMatrix};
@@ -106,8 +106,8 @@ fn sanitize_off_reports_nothing_for_corrupt_format() {
     let _scope = SanitizeScope::off();
     let bad = corrupt_matrix();
     let b = DenseMatrix::<F16>::from_fn(32, 16, |r, c| ((r + c) % 3) as f32);
-    let (_, counters) =
-        flashsparse::spmm_with_mode(&bad, &b, ThreadMapping::MemoryEfficient, ExecMode::Simulate);
+    let plan = ExecPlan { mode: ExecMode::Simulate, ..ExecPlan::auto() };
+    let (_, counters) = spmm_with(&bad, &b, ThreadMapping::MemoryEfficient, plan);
     assert_eq!(counters.sanitizer_violations, 0);
     assert!(take_reports().is_empty());
 }
@@ -121,5 +121,6 @@ fn fast_path_refuses_corrupt_unwitnessed_format() {
     let _scope = SanitizeScope::off();
     let bad = corrupt_matrix();
     let b = DenseMatrix::<F16>::from_fn(32, 16, |r, c| ((r + c) % 3) as f32);
-    let _ = flashsparse::spmm_with_mode(&bad, &b, ThreadMapping::MemoryEfficient, ExecMode::Fast);
+    let plan = ExecPlan { mode: ExecMode::Fast, ..ExecPlan::auto() };
+    let _ = spmm_with(&bad, &b, ThreadMapping::MemoryEfficient, plan);
 }

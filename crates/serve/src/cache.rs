@@ -16,6 +16,7 @@ use std::sync::Arc;
 
 use flashsparse::{TranslatedMatrix, TuneChoice};
 use fs_format::MemoryFootprint;
+use fs_trace::export::JsonWriter;
 
 use crate::fingerprint::Fingerprint;
 
@@ -70,18 +71,18 @@ impl CacheStats {
 
     /// JSON object for the metrics endpoint.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"hits\":{},\"misses\":{},\"evictions\":{},\"rejected_oversize\":{},\
-             \"entries\":{},\"resident_bytes\":{},\"budget_bytes\":{},\"hit_rate\":{:.6}}}",
-            self.hits,
-            self.misses,
-            self.evictions,
-            self.rejected_oversize,
-            self.entries,
-            self.resident_bytes,
-            self.budget_bytes,
-            self.hit_rate()
-        )
+        let mut w = JsonWriter::new();
+        w.begin_object();
+        w.field_u64("hits", self.hits);
+        w.field_u64("misses", self.misses);
+        w.field_u64("evictions", self.evictions);
+        w.field_u64("rejected_oversize", self.rejected_oversize);
+        w.field_u64("entries", self.entries as u64);
+        w.field_u64("resident_bytes", self.resident_bytes as u64);
+        w.field_u64("budget_bytes", self.budget_bytes as u64);
+        w.key("hit_rate").value_raw(&format!("{:.6}", self.hit_rate()));
+        w.end_object();
+        w.finish()
     }
 }
 
@@ -325,6 +326,13 @@ mod tests {
         s.misses = 1;
         assert!((s.hit_rate() - 0.75).abs() < 1e-12);
         let json = s.to_json();
+        assert_eq!(
+            json,
+            concat!(
+                r#"{"hits":3,"misses":1,"evictions":0,"rejected_oversize":0,"entries":0,"#,
+                r#""resident_bytes":0,"budget_bytes":0,"hit_rate":0.750000}"#,
+            )
+        );
         assert!(json.contains("\"hits\":3"));
         assert!(json.contains("\"hit_rate\":0.75"));
     }

@@ -38,6 +38,7 @@ use flashsparse::{
 use fs_chaos::{BreakerConfig, CircuitBreaker, FaultSite};
 use fs_matrix::{CsrMatrix, DenseMatrix};
 use fs_tcu::{GpuSpec, KernelCounters};
+use fs_trace::export::JsonWriter;
 use parking_lot::{Mutex, RwLock};
 
 use crate::cache::{CacheStats, CachedFormat, FormatCache};
@@ -45,7 +46,7 @@ use crate::fingerprint::Fingerprint;
 use crate::gnn_infer::{
     GnnConfig, GnnError, GnnInferRequest, GnnInferResponse, GnnModelInfo, GnnState,
 };
-use crate::metrics::{json_escape, tenants_json, TenantStats};
+use crate::metrics::{tenants_json, TenantStats};
 use fs_gnn::GnnWeights;
 
 /// Engine configuration.
@@ -710,53 +711,61 @@ impl ServeEngine {
     /// The whole metrics document: cache, engine, resilience, chaos, and
     /// per-tenant stats.
     pub fn metrics_json(&self) -> String {
-        let cache = self.cache_stats().to_json();
-        let tenants = tenants_json(&self.inner.tenants.lock());
         let (registered, registered_bytes) = self.registered_stats();
         let (verify_failures, fallbacks_default, fallbacks_scalar, breaker_bypasses) =
             self.resilience_stats();
         let (exec_fast, exec_simulate, validate_skips) = self.exec_stats();
-        let gnn = self.inner.gnn.stats_json();
-        let chaos_plan = match fs_chaos::inject::active_plan() {
-            Some(plan) => format!("\"{}\"", json_escape(&plan.to_string())),
-            None => "null".to_string(),
-        };
         let cfg = &self.inner.cfg;
-        format!(
-            "{{\"cache\":{cache},\"engine\":{{\"workers\":{},\"queue_capacity\":{},\
-             \"queue_len\":{},\"max_batch\":{},\"cold\":{},\"gpu\":\"{}\",\
-             \"registered_matrices\":{registered},\"registered_bytes\":{registered_bytes},\
-             \"max_matrices\":{},\"max_matrix_bytes\":{},\
-             \"worker_panics\":{},\"worker_respawns\":{}}},\
-             \"resilience\":{{\"verify\":{},\"verify_failures\":{verify_failures},\
-             \"fallbacks_default\":{fallbacks_default},\"fallbacks_scalar\":{fallbacks_scalar},\
-             \"breaker_trips\":{},\"breaker_bypasses\":{breaker_bypasses}}},\
-             \"exec\":{{\"fast\":{exec_fast},\"simulate\":{exec_simulate},\
-             \"validate_skips\":{validate_skips}}},\
-             \"pipeline\":{{\"enabled\":{},\"overlaps\":{}}},\
-             \"gnn\":{gnn},\
-             \"chaos\":{{\"enabled\":{},\"plan\":{chaos_plan},\"faults\":{}}},\
-             \"trace\":{{\"armed\":{},\"spans\":{}}},\
-             \"tenants\":{tenants}}}",
-            cfg.workers,
-            cfg.queue_capacity,
-            self.queue_len(),
-            cfg.max_batch,
-            cfg.cold,
-            json_escape(&format!("{:?}", cfg.gpu)),
-            cfg.max_matrices,
-            cfg.max_matrix_bytes,
-            self.worker_panics(),
-            self.worker_respawns(),
-            cfg.verify,
-            self.breaker_trips(),
-            cfg.pipeline,
-            self.overlap_count(),
-            fs_chaos::chaos_enabled(),
-            fs_chaos::report().to_json(),
-            fs_trace::trace_enabled(),
-            fs_trace::snapshot().total_spans(),
-        )
+        let mut w = JsonWriter::new();
+        w.begin_object();
+        w.key("cache").value_raw(&self.cache_stats().to_json());
+        w.key("engine").begin_object();
+        w.field_u64("workers", cfg.workers as u64);
+        w.field_u64("queue_capacity", cfg.queue_capacity as u64);
+        w.field_u64("queue_len", self.queue_len() as u64);
+        w.field_u64("max_batch", cfg.max_batch as u64);
+        w.field_bool("cold", cfg.cold);
+        w.field_str("gpu", &format!("{:?}", cfg.gpu));
+        w.field_u64("registered_matrices", registered as u64);
+        w.field_u64("registered_bytes", registered_bytes as u64);
+        w.field_u64("max_matrices", cfg.max_matrices as u64);
+        w.field_u64("max_matrix_bytes", cfg.max_matrix_bytes as u64);
+        w.field_u64("worker_panics", self.worker_panics());
+        w.field_u64("worker_respawns", self.worker_respawns());
+        w.end_object();
+        w.key("resilience").begin_object();
+        w.field_bool("verify", cfg.verify);
+        w.field_u64("verify_failures", verify_failures);
+        w.field_u64("fallbacks_default", fallbacks_default);
+        w.field_u64("fallbacks_scalar", fallbacks_scalar);
+        w.field_u64("breaker_trips", self.breaker_trips());
+        w.field_u64("breaker_bypasses", breaker_bypasses);
+        w.end_object();
+        w.key("exec").begin_object();
+        w.field_u64("fast", exec_fast);
+        w.field_u64("simulate", exec_simulate);
+        w.field_u64("validate_skips", validate_skips);
+        w.end_object();
+        w.key("pipeline").begin_object();
+        w.field_bool("enabled", cfg.pipeline);
+        w.field_u64("overlaps", self.overlap_count());
+        w.end_object();
+        w.key("gnn").value_raw(&self.inner.gnn.stats_json());
+        w.key("chaos").begin_object();
+        w.field_bool("enabled", fs_chaos::chaos_enabled());
+        match fs_chaos::inject::active_plan() {
+            Some(plan) => w.field_str("plan", &plan.to_string()),
+            None => w.key("plan").value_raw("null"),
+        };
+        w.key("faults").value_raw(&fs_chaos::report().to_json());
+        w.end_object();
+        w.key("trace").begin_object();
+        w.field_bool("armed", fs_trace::trace_enabled());
+        w.field_u64("spans", fs_trace::snapshot().total_spans());
+        w.end_object();
+        w.key("tenants").value_raw(&tenants_json(&self.inner.tenants.lock()));
+        w.end_object();
+        w.finish()
     }
 
     /// Graceful drain: stop admitting, let workers finish the queue, join
@@ -1479,6 +1488,29 @@ mod tests {
     #[test]
     fn metrics_json_is_well_formed() {
         let (e, info, _) = engine(EngineConfig::default());
+        // The whole document before any request, byte for byte; the GPU
+        // description and the fault report belong to other crates.
+        let fresh = concat!(
+            r#"{"cache":{"hits":0,"misses":0,"evictions":0,"rejected_oversize":0,"entries":0,"#,
+            r#""resident_bytes":0,"budget_bytes":268435456,"hit_rate":1.000000},"#,
+            r#""engine":{"workers":4,"queue_capacity":256,"queue_len":0,"max_batch":16,"#,
+            r#""cold":false,"gpu":"<gpu>","registered_matrices":1,"registered_bytes":6848,"#,
+            r#""max_matrices":1024,"max_matrix_bytes":1073741824,"worker_panics":0,"#,
+            r#""worker_respawns":0},"#,
+            r#""resilience":{"verify":false,"verify_failures":0,"fallbacks_default":0,"#,
+            r#""fallbacks_scalar":0,"breaker_trips":0,"breaker_bypasses":0},"#,
+            r#""exec":{"fast":0,"simulate":0,"validate_skips":0},"#,
+            r#""pipeline":{"enabled":true,"overlaps":0},"#,
+            r#""gnn":{"models":0,"model_bytes":0,"max_models":64,"max_model_bytes":268435456,"#,
+            r#""cache":{"entries":0,"resident_bytes":0,"budget_bytes":67108864,"hits":0,"#,
+            r#""misses":0,"evictions":0,"invalidations":0},"verify_retries":0,"#,
+            r#""verify_failures":0},"#,
+            r#""chaos":{"enabled":false,"plan":null,"faults":<faults>},"#,
+            r#""trace":{"armed":false,"spans":0},"tenants":{}}"#,
+        )
+        .replace("<gpu>", &crate::metrics::json_escape(&format!("{:?}", GpuSpec::RTX4090)))
+        .replace("<faults>", &fs_chaos::report().to_json());
+        assert_eq!(e.metrics_json(), fresh);
         let _ = e.spmm_blocking(request(&info, 8));
         let j = e.metrics_json();
         assert!(j.contains("\"cache\":{"));

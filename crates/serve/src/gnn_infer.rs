@@ -70,6 +70,7 @@ use std::time::{Duration, Instant};
 use fs_gnn::{GnnBackend, GnnWeights, SparseOps};
 use fs_matrix::{CsrMatrix, DenseMatrix};
 use fs_tcu::GpuSpec;
+use fs_trace::export::JsonWriter;
 use parking_lot::Mutex;
 
 use crate::fingerprint::Fingerprint;
@@ -505,24 +506,26 @@ impl GnnState {
     pub(crate) fn stats_json(&self) -> String {
         let (models, model_bytes) = self.model_stats();
         let cache = self.cache.lock();
-        format!(
-            "{{\"models\":{models},\"model_bytes\":{model_bytes},\
-             \"max_models\":{},\"max_model_bytes\":{},\
-             \"cache\":{{\"entries\":{},\"resident_bytes\":{},\"budget_bytes\":{},\
-             \"hits\":{},\"misses\":{},\"evictions\":{},\"invalidations\":{}}},\
-             \"verify_retries\":{},\"verify_failures\":{}}}",
-            self.cfg.max_models,
-            self.cfg.max_model_bytes,
-            cache.entries.len(),
-            cache.resident_bytes,
-            cache.budget_bytes,
-            self.cache_hits.load(Ordering::Relaxed),
-            self.cache_misses.load(Ordering::Relaxed),
-            cache.evictions,
-            self.invalidations.load(Ordering::Relaxed),
-            self.verify_retries.load(Ordering::Relaxed),
-            self.verify_failures.load(Ordering::Relaxed),
-        )
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        let mut w = JsonWriter::new();
+        w.begin_object();
+        w.field_u64("models", models as u64);
+        w.field_u64("model_bytes", model_bytes as u64);
+        w.field_u64("max_models", self.cfg.max_models as u64);
+        w.field_u64("max_model_bytes", self.cfg.max_model_bytes as u64);
+        w.key("cache").begin_object();
+        w.field_u64("entries", cache.entries.len() as u64);
+        w.field_u64("resident_bytes", cache.resident_bytes as u64);
+        w.field_u64("budget_bytes", cache.budget_bytes as u64);
+        w.field_u64("hits", load(&self.cache_hits));
+        w.field_u64("misses", load(&self.cache_misses));
+        w.field_u64("evictions", cache.evictions);
+        w.field_u64("invalidations", load(&self.invalidations));
+        w.end_object();
+        w.field_u64("verify_retries", load(&self.verify_retries));
+        w.field_u64("verify_failures", load(&self.verify_failures));
+        w.end_object();
+        w.finish()
     }
 }
 

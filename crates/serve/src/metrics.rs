@@ -9,6 +9,7 @@
 use std::collections::HashMap;
 
 use fs_tcu::KernelCounters;
+use fs_trace::export::JsonWriter;
 
 /// Lifecycle + kernel totals for one tenant.
 #[derive(Clone, Copy, Debug, Default)]
@@ -34,18 +35,18 @@ pub struct TenantStats {
 impl TenantStats {
     /// JSON object (uses the shared [`KernelCounters::to_json`]).
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"submitted\":{},\"completed\":{},\"rejected\":{},\"timed_out\":{},\
-             \"failed\":{},\"batches\":{},\"max_batch\":{},\"counters\":{}}}",
-            self.submitted,
-            self.completed,
-            self.rejected,
-            self.timed_out,
-            self.failed,
-            self.batches,
-            self.max_batch,
-            self.counters.to_json()
-        )
+        let mut w = JsonWriter::new();
+        w.begin_object();
+        w.field_u64("submitted", self.submitted);
+        w.field_u64("completed", self.completed);
+        w.field_u64("rejected", self.rejected);
+        w.field_u64("timed_out", self.timed_out);
+        w.field_u64("failed", self.failed);
+        w.field_u64("batches", self.batches);
+        w.field_u64("max_batch", self.max_batch);
+        w.key("counters").value_raw(&self.counters.to_json());
+        w.end_object();
+        w.finish()
     }
 }
 
@@ -61,11 +62,13 @@ pub fn json_escape(s: &str) -> String {
 pub fn tenants_json(tenants: &HashMap<String, TenantStats>) -> String {
     let mut names: Vec<&String> = tenants.keys().collect();
     names.sort();
-    let body: Vec<String> = names
-        .iter()
-        .map(|name| format!("\"{}\":{}", json_escape(name), tenants[*name].to_json()))
-        .collect();
-    format!("{{{}}}", body.join(","))
+    let mut w = JsonWriter::new();
+    w.begin_object();
+    for name in names {
+        w.key(name).value_raw(&tenants[name].to_json());
+    }
+    w.end_object();
+    w.finish()
 }
 
 #[cfg(test)]
@@ -78,6 +81,18 @@ mod tests {
         t.completed = 4;
         t.counters.mma_count = 9;
         let j = t.to_json();
+        assert_eq!(
+            j,
+            concat!(
+                r#"{"submitted":0,"completed":4,"rejected":0,"timed_out":0,"failed":0,"#,
+                r#""batches":0,"max_batch":0,"counters":{"mma_count":9,"wmma_count":0,"#,
+                r#""tcu_flops":0,"cuda_flops":0,"load_transactions":0,"store_transactions":0,"#,
+                r#""bytes_loaded":0,"bytes_stored":0,"ideal_bytes_loaded":0,"#,
+                r#""ideal_bytes_stored":0,"sparse_value_bytes":0,"dense_operand_bytes":0,"#,
+                r#""index_bytes":0,"sanitizer_violations":0,"load_efficiency":1.000000,"#,
+                r#""store_efficiency":1.000000,"memory_efficiency":1.000000}}"#,
+            )
+        );
         assert!(j.contains("\"completed\":4"));
         assert!(j.contains("\"counters\":{\"mma_count\":9"));
     }
@@ -94,6 +109,8 @@ mod tests {
         m.insert("b".to_string(), TenantStats::default());
         m.insert("a".to_string(), TenantStats::default());
         let j = tenants_json(&m);
+        let one = TenantStats::default().to_json();
+        assert_eq!(j, format!("{{\"a\":{one},\"b\":{one}}}"));
         assert!(j.find("\"a\"").expect("a present") < j.find("\"b\"").expect("b present"));
     }
 }

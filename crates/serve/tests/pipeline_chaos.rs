@@ -5,7 +5,7 @@
 //! The guarantee is structural — chaos flips [`fs_tcu::ExecMode::auto`]
 //! to the simulator, which (a) disables the engine's overlapped cold
 //! path (the `overlap_ok` guard requires a fast mode) and (b) makes
-//! every `*_with_sched` entry point ignore its scheduler and run the
+//! every automatic-mode launch ignore its plan's scheduler and run the
 //! classic in-order simulated kernel, so chaos draw indices are consumed
 //! in a deterministic order. These tests pin that structure: a pipelined
 //! engine under chaos must replay bit-identically to a classic one, and
@@ -97,13 +97,13 @@ fn pipelined_chaos_soak_replays_from_the_seed_alone() {
     assert_eq!(outs_a, outs_b, "delivered bits must replay from the plan string");
 }
 
-/// The `*_with_sched` kernel entry points under chaos: an explicit
+/// An explicit scheduler in the launch plan under chaos: a
 /// work-stealing scheduler must be ignored (the simulator runs in-order)
 /// so outputs, counters, and fault draws match the sequential call
 /// bit-for-bit.
 #[test]
 fn sched_entry_points_ignore_the_scheduler_under_chaos() {
-    use flashsparse::{spmm_with_sched, TcuPrecision, ThreadMapping};
+    use flashsparse::{spmm_with, ExecPlan, TcuPrecision, ThreadMapping};
     use fs_format::MeBcrs;
     use fs_precision::F16;
 
@@ -114,7 +114,8 @@ fn sched_entry_points_ignore_the_scheduler_under_chaos() {
 
     let run = |sched: SchedMode| {
         let _scope = ChaosScope::install(plan.clone());
-        let (out, counters) = spmm_with_sched(&me, &b, ThreadMapping::MemoryEfficient, sched);
+        let plan = ExecPlan { sched, ..ExecPlan::auto() };
+        let (out, counters) = spmm_with(&me, &b, ThreadMapping::MemoryEfficient, plan);
         let bits: Vec<u32> = out.as_slice().iter().map(|v| v.to_f32().to_bits()).collect();
         (bits, counters, fs_chaos::report())
     };

@@ -2,6 +2,8 @@
 
 use std::ops::{Add, AddAssign};
 
+use fs_trace::export::JsonWriter;
+
 /// Everything a simulated kernel execution counts. Plain data; kernels
 /// running in parallel each accumulate their own and merge with `+`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -117,31 +119,35 @@ impl KernelCounters {
     /// machine-readable output, and the `fs-serve` metrics endpoint — so
     /// the three agree on field names.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"mma_count\":{},\"wmma_count\":{},\"tcu_flops\":{},\"cuda_flops\":{},\
-             \"load_transactions\":{},\"store_transactions\":{},\"bytes_loaded\":{},\
-             \"bytes_stored\":{},\"ideal_bytes_loaded\":{},\"ideal_bytes_stored\":{},\
-             \"sparse_value_bytes\":{},\"dense_operand_bytes\":{},\"index_bytes\":{},\
-             \"sanitizer_violations\":{},\"load_efficiency\":{:.6},\"store_efficiency\":{:.6},\
-             \"memory_efficiency\":{:.6}}}",
-            self.mma_count,
-            self.wmma_count,
-            self.tcu_flops,
-            self.cuda_flops,
-            self.load_transactions,
-            self.store_transactions,
-            self.bytes_loaded,
-            self.bytes_stored,
-            self.ideal_bytes_loaded,
-            self.ideal_bytes_stored,
-            self.sparse_value_bytes,
-            self.dense_operand_bytes,
-            self.index_bytes,
-            self.sanitizer_violations,
-            self.load_efficiency(),
-            self.store_efficiency(),
-            self.memory_efficiency()
-        )
+        let mut w = JsonWriter::new();
+        w.begin_object();
+        for (name, count) in [
+            ("mma_count", self.mma_count),
+            ("wmma_count", self.wmma_count),
+            ("tcu_flops", self.tcu_flops),
+            ("cuda_flops", self.cuda_flops),
+            ("load_transactions", self.load_transactions),
+            ("store_transactions", self.store_transactions),
+            ("bytes_loaded", self.bytes_loaded),
+            ("bytes_stored", self.bytes_stored),
+            ("ideal_bytes_loaded", self.ideal_bytes_loaded),
+            ("ideal_bytes_stored", self.ideal_bytes_stored),
+            ("sparse_value_bytes", self.sparse_value_bytes),
+            ("dense_operand_bytes", self.dense_operand_bytes),
+            ("index_bytes", self.index_bytes),
+            ("sanitizer_violations", self.sanitizer_violations),
+        ] {
+            w.field_u64(name, count);
+        }
+        for (name, ratio) in [
+            ("load_efficiency", self.load_efficiency()),
+            ("store_efficiency", self.store_efficiency()),
+            ("memory_efficiency", self.memory_efficiency()),
+        ] {
+            w.key(name).value_raw(&format!("{ratio:.6}"));
+        }
+        w.end_object();
+        w.finish()
     }
 }
 
@@ -238,6 +244,17 @@ mod tests {
             ..Default::default()
         };
         let j = k.to_json();
+        assert_eq!(
+            j,
+            concat!(
+                r#"{"mma_count":7,"wmma_count":0,"tcu_flops":0,"cuda_flops":0,"#,
+                r#""load_transactions":0,"store_transactions":0,"bytes_loaded":128,"#,
+                r#""bytes_stored":0,"ideal_bytes_loaded":64,"ideal_bytes_stored":0,"#,
+                r#""sparse_value_bytes":0,"dense_operand_bytes":0,"index_bytes":0,"#,
+                r#""sanitizer_violations":1,"load_efficiency":0.500000,"#,
+                r#""store_efficiency":1.000000,"memory_efficiency":0.500000}"#,
+            )
+        );
         assert!(j.starts_with('{') && j.ends_with('}'));
         assert!(j.contains("\"mma_count\":7"));
         assert!(j.contains("\"bytes_loaded\":128"));

@@ -17,8 +17,8 @@ pub enum Site {
     Translate,
     /// Auto-tuner vector-size/precision selection (`auto_tune`).
     Tune,
-    /// One `WINDOW_BATCH` chunk of row windows inside an SpMM/SDDMM
-    /// launch — both the simulator and the fast path record it.
+    /// One row window of an SpMM/SDDMM launch — both the simulator and
+    /// the fast path record it. (The exported name stays `window_batch`.)
     WindowBatch,
     /// One simulated `mma.sync` / `wmma` instruction (Simulate mode
     /// only; the fast path fuses MMAs and has no per-instruction site).
