@@ -32,6 +32,13 @@ cargo build --release --manifest-path perf/Cargo.toml --target-dir target/perf
 echo "== cargo test -q"
 cargo test -q
 
+echo "== exhaustive rounding sweep (release)"
+# fs-precision has one rounding implementation (straight-line integer
+# code); the branch-per-case conversions it replaced are the oracle in
+# its lattice_identity test, compared here on all 2^32 f32 patterns for
+# FP16 and TF32. Ignored in the debug run above: it needs --release.
+cargo test --release -q -p fs-precision -- --ignored
+
 echo "== cargo doc (warnings denied) + doctests"
 # Every crate front page must document itself cleanly, and the runnable
 # examples in those pages must actually run.
@@ -52,7 +59,10 @@ fi
 echo "ci: fast-path min speedup ${MIN_SPEEDUP}x"
 # The same file times the fast path against the CSR row-parallel
 # CUDA-core baseline on one served-shape launch (R-MAT scale 12, N=128,
-# f32 in and out): ROADMAP item 2's yardstick, held at 3x.
+# f32 in and out), held at 3x. The ratio is bimodal on a 2-vCPU host
+# (1.05-1.16 in one hour, 1.55-1.73 in the next, same binary; the
+# parent read 1.44-1.56 and 2.52-2.72 in the same pairings), so the bar
+# was not tightened to 1.5 (EXPERIMENTS.md "Round once everywhere").
 FAST_OVER_CSR=$(sed -n 's/.*"fast_over_csr":\([0-9.]*\).*/\1/p' BENCH_spmm.json)
 if ! awk -v r="${FAST_OVER_CSR:-99}" 'BEGIN { exit !(r <= 3.0) }'; then
   echo "ci: fast path is ${FAST_OVER_CSR}x the CSR baseline's wall-clock (budget 3x)" >&2

@@ -2,9 +2,10 @@
 //!
 //! Bit-identical to the simulator — every operand on the same MMA
 //! lattice, the same f32 accumulation order inside every MMA, the same
-//! output rounding — with all simulator scaffolding removed. SpMM obeys
-//! one rule: *every operand is rounded to the lattice exactly once per
-//! launch, and the inner loop runs along B's contiguous rows.*
+//! output rounding — with all simulator scaffolding removed. Both kernels
+//! obey one rule: *every operand is rounded to the lattice exactly once
+//! per launch, and the inner loop runs along contiguous panel rows.* For
+//! SpMM:
 //!
 //! * **One panel per launch.** The dense operand is staged once into a
 //!   launch-wide f32 [`Panel`] (split over the scheduler's workers):
@@ -60,9 +61,18 @@
 //!   checked once up front (the fast path has no sanitizer to report
 //!   violations, so it refuses malformed input outright).
 //!
-//! SDDMM keeps its own scheme: it gathers and rounds the window's rows
-//! of A once per window and the sampled rows of B once per vector group,
-//! then runs the chained-MMA dot products in chunk order.
+//! SDDMM obeys the same rule with both operands dense: A and B are each
+//! staged once per launch into a [`Panel`] (typed operands, so staging
+//! only widens), and a sampled output cell is one dot product of two
+//! contiguous panel rows in the chained MMAs' order — a partial sum per
+//! k-chunk from `+0.0` in ascending `t`, the partials folded in chunk
+//! order. It is computed **only for cells the mask keeps**: the simulator
+//! fills all 8×16 cells of every tile, but Algorithm 1's writeback reads a
+//! cell only where the mask is nonzero and drops the rest whatever they
+//! hold (`NaN` and `inf` included), and MMA cells never feed one another,
+//! so the skip is structural — it needs no finiteness licence and cannot
+//! change a bit (84% of the cells are fill on the benchmark's R-MAT). The
+//! counters still describe the full tiles the hardware would issue.
 //!
 //! Windows are handed to `pipeline::run_windows`, the one window driver
 //! the simulated kernels use too. Scratch buffers are thread-local and
@@ -171,15 +181,13 @@ impl Panel {
 /// Reusable per-thread scratch for the fused kernels.
 #[derive(Default)]
 struct FastScratch {
-    /// The window's pre-rounded rows of A (SDDMM).
-    rounded: Vec<f32>,
-    /// Second rounding buffer (SDDMM group rows).
-    rounded_b: Vec<f32>,
     /// One block row's partial accumulator (SpMM).
     partial: Vec<f32>,
-    /// The window's running sums: 8 rows × [`COL_TILE`] (SpMM) or the
-    /// 16×8 output tile (SDDMM).
+    /// The window's running sums: 8 rows × [`COL_TILE`] (SpMM).
     c_tile: Vec<f32>,
+    /// Per vector of the window, the bitmask of rows the mask keeps
+    /// (SDDMM).
+    kept: Vec<u8>,
     /// Closed-form transaction accounting.
     counter: AnalyticCounter,
 }
@@ -468,132 +476,134 @@ pub(crate) fn sddmm_fast<S: TcuPrecision>(
 ) -> (MeBcrs<S>, KernelCounters) {
     ensure_valid(mask);
     let mut values = vec![S::ZERO; mask.values().len()];
+    // Typed operands are lattice points: staging widens, it does not round.
+    let a = Panel::stage::<S, S>(a, sched);
+    let b = Panel::stage::<S, S>(b, sched);
     // Each window owns the values of its own vectors.
     let window_len = |w: usize| mask.vectors_in_window(w) * S::SHAPE.n;
     let counters = run_windows(mask, &mut values, window_len, sched.workers(), |w, out| {
         SCRATCH.with(|cell| {
             let mut counters = KernelCounters::default();
-            sddmm_window(mask, a, b, w, out, &mut cell.borrow_mut(), &mut counters);
+            sddmm_window(mask, &a, &b, w, out, &mut cell.borrow_mut(), &mut counters);
             counters
         })
     });
     (mask.with_values(values), counters)
 }
 
+/// One sampled dot product `Σ_t b[t]·a[t]` in the chained MMAs' order:
+/// a partial sum per k-chunk from `+0.0` in ascending `t`, the partials
+/// folded in chunk order. The simulator pads a ragged last chunk with
+/// `+0.0 · +0.0` and no partial sum is ever `-0.0`, so neither that
+/// padding nor folding an empty tail's `+0.0` changes a bit;
+/// `chunks_exact` gives the full chunks a constant trip count.
+#[inline]
+fn chunked_dot(b: &[f32], a: &[f32], k: usize) -> f32 {
+    #[inline]
+    fn partial(b: &[f32], a: &[f32]) -> f32 {
+        let mut acc = 0.0f32;
+        for (&bv, &av) in b.iter().zip(a) {
+            acc += bv * av;
+        }
+        acc
+    }
+    let (bc, ac) = (b.chunks_exact(k), a.chunks_exact(k));
+    let tail = partial(bc.remainder(), ac.remainder());
+    let mut d = 0.0f32;
+    for (b, a) in bc.zip(ac) {
+        d += partial(b, a);
+    }
+    d + tail
+}
+
 fn sddmm_window<S: TcuPrecision>(
     mask: &MeBcrs<S>,
-    a: &DenseMatrix<S>,
-    b: &DenseMatrix<S>,
+    a: &Panel,
+    b: &Panel,
     w: usize,
     out: &mut [S],
     scratch: &mut FastScratch,
     counters: &mut KernelCounters,
 ) {
     let shape = S::SHAPE;
-    let v = shape.n;
-    let k = shape.k;
-    let kk = a.cols();
+    let (v, k, kk) = (shape.n, shape.k, a.cols());
     let window_rows = (mask.rows() - w * v).min(v);
     let nv = mask.vectors_in_window(w);
-    let window_val_base = mask.window_ptr()[w] * v;
     if nv == 0 {
         return;
     }
+    let FastScratch { kept, counter: ac, .. } = scratch;
 
-    let FastScratch { rounded, rounded_b, c_tile, counter: ac, .. } = scratch;
-
-    // Column indices: one request for the whole window.
     let win_range = mask.window_ptr()[w]..mask.window_ptr()[w + 1];
     let win_cols = &mask.col_indices()[win_range.clone()];
+    let window_val_base = win_range.start * v;
+    let stored = &mask.values()[window_val_base..window_val_base + nv * v];
+
+    // ---- Numerics: one dot product per cell the mask keeps (module
+    // doc); `kept[jv]` remembers vector `jv`'s kept rows for the store
+    // accounting below.
+    kept.clear();
+    kept.resize(nv, 0);
+    for (blk, cols) in win_cols.chunks(k).enumerate() {
+        // A block stores its 8 rows `cols.len()` wide, row-major.
+        let base = blk * k * v;
+        for i in 0..window_rows {
+            let arow = a.row(w * v + i);
+            let row = base + i * cols.len();
+            for (jl, &c) in cols.iter().enumerate() {
+                let m = stored[row + jl];
+                if !m.is_zero() {
+                    kept[blk * k + jl] |= 1 << i;
+                    let d = chunked_dot(b.row(c as usize), arow, k);
+                    out[row + jl] = S::from_f32(d * m.to_f32());
+                }
+            }
+        }
+    }
+
+    // ---- Counters. Column indices: one request for the whole window.
     ac.range(win_range.start as u64 * 4, nv as u64 * 4);
     ac.load(TrafficClass::Indices, counters, 1);
 
+    let groups = nv.div_ceil(VEC_GROUP) as u64;
     let chunks = kk.div_ceil(k) as u64;
+    counters.mma_count += groups * chunks;
+    counters.tcu_flops += groups * chunks * shape.flops();
 
-    // Pre-round the window's rows of A once (reused by every group).
-    reserve(rounded, window_rows * kk);
-    for i in 0..window_rows {
-        let arow = a.row(w * v + i);
-        for t in 0..kk {
-            rounded[i * kk + t] = round_operand(arow[t].to_f32(), S::PRECISION);
+    // Dense loads at the `S`-typed operands' addresses: per k-chunk one
+    // A-rows request — the same for every vector group, so `times =
+    // groups` — and one B-rows request per group (the k-chunk stride is
+    // below a sector, so no tile collapse).
+    for k0 in (0..kk).step_by(k) {
+        let bytes = ((kk - k0).min(k) * S::BYTES) as u64;
+        for i in 0..window_rows {
+            ac.range((((w * v + i) * kk + k0) * S::BYTES) as u64, bytes);
+        }
+        ac.load(TrafficClass::DenseOperand, counters, groups);
+        for group_cols in win_cols.chunks(VEC_GROUP) {
+            for &c in group_cols {
+                ac.range(((c as usize * kk + k0) * S::BYTES) as u64, bytes);
+            }
+            ac.load(TrafficClass::DenseOperand, counters, 1);
         }
     }
-    reserve(rounded_b, VEC_GROUP * kk);
-    reserve(c_tile, VEC_GROUP * v);
 
+    // Store traffic: the scatter is mask-dependent, so enumerate the
+    // surviving lanes of each group's 4 register requests (lane `4g + t`
+    // of register `reg` holds vector `g + 8·(reg / 2)`, row `2t + reg % 2`).
     for jj0 in (0..nv).step_by(VEC_GROUP) {
-        let group = (nv - jj0).min(VEC_GROUP);
-
-        counters.mma_count += chunks;
-        counters.tcu_flops += chunks * shape.flops();
-
-        // Pre-round the group's sampled rows of B.
-        for jj in 0..group {
-            let brow = b.row(win_cols[jj0 + jj] as usize);
-            for t in 0..kk {
-                rounded_b[jj * kk + t] = round_operand(brow[t].to_f32(), S::PRECISION);
-            }
-        }
-
-        // Dense loads: one A-rows and one B-rows request per k-chunk
-        // (the k-chunk stride is below a sector, so no tile collapse).
-        for k0 in (0..kk).step_by(k) {
-            let kw = (kk - k0).min(k);
-            for jj in 0..group {
-                ac.range(b.addr_of(win_cols[jj0 + jj] as usize, k0), (kw * S::BYTES) as u64);
-            }
-            ac.load(TrafficClass::DenseOperand, counters, 1);
-            for i in 0..window_rows {
-                ac.range(a.addr_of(w * v + i, k0), (kw * S::BYTES) as u64);
-            }
-            ac.load(TrafficClass::DenseOperand, counters, 1);
-        }
-
-        // Numerics: per-chunk partial sums folded in chunk order, the
-        // exact accumulation the chained MMAs perform.
-        for jj in 0..group {
-            for i in 0..window_rows {
-                let mut d = 0.0f32;
-                for k0 in (0..kk).step_by(k) {
-                    let kw = (kk - k0).min(k);
-                    let mut acc = 0.0f32;
-                    for t in 0..kw {
-                        acc += rounded_b[jj * kk + k0 + t] * rounded[i * kk + k0 + t];
-                    }
-                    d += acc;
-                }
-                c_tile[jj * v + i] = d;
-            }
-        }
-
-        // Algorithm 1 writeback, identical to the simulated kernel
-        // (including the sign of masked zero products).
-        for jj in 0..group {
-            let jv = jj0 + jj;
-            let (blk, jl) = (jv / k, jv % k);
-            for i in 0..window_rows {
-                let m = mask.block_row(w, blk, i)[jl];
-                if !m.is_zero() {
-                    let idx = mask.value_index(w, blk, i, jl) - window_val_base;
-                    out[idx] = S::from_f32(c_tile[jj * v + i] * m.to_f32());
-                }
-            }
-        }
-
-        // Store traffic: the scatter is mask-dependent, so enumerate the
-        // surviving lanes of the 4 register requests directly.
         for reg in 0..4usize {
-            for lane in 0..32usize {
-                let g = lane >> 2;
-                let t = lane & 3;
-                let jj = g + 8 * (reg >> 1);
-                let i = t * 2 + (reg & 1);
-                if jj < group && i < window_rows {
-                    let jv = jj0 + jj;
-                    let (blk, jl) = (jv / k, jv % k);
-                    if !mask.block_row(w, blk, i)[jl].is_zero() {
-                        ac.range(mask.value_addr(w, blk, i, jl), S::BYTES as u64);
-                    }
+            let half = jj0 + 8 * (reg >> 1);
+            for (jv, &kept_rows) in kept.iter().enumerate().take(half + 8).skip(half) {
+                let (blk, jl) = (jv / k, jv % k);
+                let w_b = (nv - blk * k).min(k);
+                // Rows of this register's parity that the mask keeps.
+                let mut rows = kept_rows & (0x55 << (reg & 1));
+                while rows != 0 {
+                    let i = rows.trailing_zeros() as usize;
+                    rows &= rows - 1;
+                    let idx = window_val_base + blk * k * v + i * w_b + jl;
+                    ac.range((idx * S::BYTES) as u64, S::BYTES as u64);
                 }
             }
             ac.store(counters, 1);

@@ -18,7 +18,6 @@
 
 use fs_format::MeBcrs;
 use fs_matrix::DenseMatrix;
-use fs_precision::Scalar;
 use fs_tcu::{
     mma_execute, ExecMode, FragKind, Fragment, KernelCounters, TrafficClass, TransactionCounter,
 };
@@ -193,7 +192,7 @@ fn simulate_window<S: TcuPrecision>(
             let blk = jv / k;
             let jl = jv % k;
             for i in 0..window_rows {
-                let m = mask_value(mask, w, blk, i, jl);
+                let m = mask.block_row(w, blk, i)[jl];
                 if !m.is_zero() {
                     let idx = mask.value_index(w, blk, i, jl) - window_val_base;
                     out[idx] = S::from_f32(c_tile[jj * v + i] * m.to_f32());
@@ -213,7 +212,7 @@ fn simulate_window<S: TcuPrecision>(
                 if jj < group && i < window_rows {
                     let jv = jj0 + jj;
                     let (blk, jl) = (jv / k, jv % k);
-                    if !mask_value(mask, w, blk, i, jl).is_zero() {
+                    if !mask.block_row(w, blk, i)[jl].is_zero() {
                         // lint: checked-cast - BYTES is 2 or 4
                         accesses.push((mask.value_addr(w, blk, i, jl), S::BYTES as u32));
                     }
@@ -224,17 +223,6 @@ fn simulate_window<S: TcuPrecision>(
     }
 
     counters
-}
-
-#[inline]
-fn mask_value<S: Scalar>(mask: &MeBcrs<S>, w: usize, blk: usize, i: usize, jl: usize) -> S {
-    mask.block_row(mask_window(w), blk, i)[jl]
-}
-
-// Tiny indirection so the closure above stays readable.
-#[inline]
-fn mask_window(w: usize) -> usize {
-    w
 }
 
 #[cfg(test)]

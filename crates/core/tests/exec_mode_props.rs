@@ -88,11 +88,21 @@ fn check_spmm<S: TcuPrecision>(spec: TcFormatSpec, csr: &CsrMatrix<f32>, n: usiz
 /// payload. That a result *is* NaN is exact, and is what this compares;
 /// every other value, infinities and signed zeros included, by its bits.
 fn dense_bits_nan_class<S: Scalar>(m: &DenseMatrix<S>) -> Vec<u32> {
-    m.as_slice()
+    nan_class_bits(m.as_slice())
+}
+
+fn nan_class_bits<S: Scalar>(values: &[S]) -> Vec<u32> {
+    values
         .iter()
         .map(|v| v.to_f32())
         .map(|x| if x.is_nan() { f32::NAN.to_bits() } else { x.to_bits() })
         .collect()
+}
+
+/// [`value_bits`] with every NaN mapped to one pattern, for the reason
+/// [`dense_bits_nan_class`] gives.
+fn value_bits_nan_class<S: Scalar>(m: &MeBcrs<S>) -> Vec<u32> {
+    nan_class_bits(m.values())
 }
 
 /// Dense-operand values the kernels' arithmetic is not closed over.
@@ -130,20 +140,25 @@ fn salted_case(
             _ => {}
         }
     }
+    (a, salted_dense(csr.cols(), n, seed, special_mask))
+}
+
+/// A `rows × n` dense operand carrying the [`SPECIALS`] that
+/// `special_mask` selects among ordinary small values.
+fn salted_dense(rows: usize, n: usize, seed: u64, special_mask: u16) -> DenseMatrix<f32> {
     let allowed: Vec<f32> = SPECIALS
         .iter()
         .enumerate()
         .filter(|(i, _)| special_mask >> i & 1 == 1)
         .map(|(_, &x)| x)
         .collect();
-    let b = DenseMatrix::<f32>::from_fn(csr.cols(), n, |r, c| {
+    DenseMatrix::<f32>::from_fn(rows, n, |r, c| {
         let h = (r * 31 + c * 17 + seed as usize) % 23;
         match allowed.get(h) {
             Some(&x) => x,
             None => ((h as f32) - 11.0) * 0.25,
         }
-    });
-    (a, b)
+    })
 }
 
 proptest! {
@@ -189,6 +204,59 @@ proptest! {
         check::<F16>(F16::SPEC, &a, &b);
         check::<Tf32>(Tf32::SPEC, &a, &b);
         check::<F16>(TcFormatSpec::FLASH_FP16_K16, &a, &b);
+    }
+
+    /// The SDDMM twin: the same special values salted into A and B, a
+    /// mask carrying explicit `-0.0` and `0` (unmasked cells inside a
+    /// stored vector), negative and FP16-subnormal scales, ragged K on
+    /// both sides of the k-chunk (and the empty sum, K = 0), FP16 and
+    /// TF32, three pool sizes. The fast path computes only the cells the
+    /// mask keeps, so this fails if a kept cell is skipped (its value
+    /// stays `+0`), if an unmasked cell's NaN or inf reaches a kept one,
+    /// or if the store accounting loses a lane.
+    #[test]
+    fn sddmm_special_values_are_bit_identical(
+        case in (
+            1usize..60,
+            1usize..50,
+            0usize..400,
+            prop::sample::select(vec![0usize, 1, 7, 8, 13, 32, 33]),
+            0u64..10_000,
+            (0u16..512, 0u16..512),
+        )
+    ) {
+        let (rows, cols, nnz, kk, seed, (specials_a, specials_b)) = case;
+        let mut mask = CsrMatrix::from_coo(&random_uniform::<f32>(rows, cols, nnz, seed));
+        for (i, v) in mask.values_mut().iter_mut().enumerate() {
+            match (i as u64 + seed) % 7 {
+                0 => *v = -0.0,
+                1 => *v = 0.0,
+                2 => *v = 6.0e-8,
+                3 => *v = -1.5,
+                _ => {}
+            }
+        }
+        let a = salted_dense(rows, kk, seed, specials_a);
+        let b = salted_dense(cols, kk, seed + 1, specials_b);
+        fn check<S: TcuPrecision>(
+            mask: &CsrMatrix<f32>,
+            a: &DenseMatrix<f32>,
+            b: &DenseMatrix<f32>,
+        ) {
+            let mask = MeBcrs::from_csr(&mask.cast::<S>(), S::SPEC);
+            let (a, b) = (a.cast::<S>(), b.cast::<S>());
+            let (o_sim, k_sim) = sddmm_with(&mask, &a, &b, ORACLE);
+            for workers in [1, 2, 7] {
+                let plan = ExecPlan { sched: SchedMode::WorkStealing { workers }, ..FAST };
+                let (o_fast, k_fast) = sddmm_with(&mask, &a, &b, plan);
+                let what = format!("{} K={} workers={workers}", S::NAME, a.cols());
+                assert_eq!(value_bits_nan_class(&o_sim), value_bits_nan_class(&o_fast), "{what}");
+                assert_eq!(o_sim.nnz(), o_fast.nnz(), "{what} nnz");
+                assert_eq!(k_sim, k_fast, "{what} counters");
+            }
+        }
+        check::<F16>(&mask, &a, &b);
+        check::<Tf32>(&mask, &a, &b);
     }
 
     /// FP16 `m16n8k8` SpMM: outputs and counters bit-identical.

@@ -359,6 +359,39 @@ impl<S: Scalar> MeBcrs<S> {
         CsrMatrix::from_coo(&coo)
     }
 
+    /// This matrix's values at the positions of `pattern`, as a CSR f32
+    /// matrix with exactly that pattern — how an SDDMM output, which
+    /// shares its mask's structure, is read back without the `rows × cols`
+    /// detour through [`MeBcrs::to_dense`]. Unlike [`MeBcrs::to_csr`] no
+    /// entry is dropped: a position whose value is zero (a computed zero,
+    /// or one no stored vector covers) reads `0.0`, which is what the
+    /// dense expansion holds there.
+    ///
+    /// # Panics
+    /// Panics if the shapes differ.
+    pub fn gather_f32<T: Scalar>(&self, pattern: &CsrMatrix<T>) -> CsrMatrix<f32> {
+        assert_eq!((self.rows, self.cols), (pattern.rows(), pattern.cols()), "shapes must match");
+        let (v, k) = (self.spec.vector_len, self.spec.block_k);
+        let mut values = Vec::with_capacity(pattern.nnz());
+        for r in 0..self.rows {
+            let w = r / v;
+            let win_cols = &self.col_indices[self.window_ptr[w]..self.window_ptr[w + 1]];
+            let stored = |j: usize| self.values[self.value_index(w, j / k, r % v, j % k)];
+            // The dense expansion stores no zero, so `-0.0` reads `+0.0` too.
+            values.extend(pattern.row_cols(r).iter().map(|c| {
+                let x = win_cols.binary_search(c).ok().map(stored);
+                x.filter(|x| !x.is_zero()).map_or(0.0, S::to_f32)
+            }));
+        }
+        CsrMatrix::new(
+            self.rows,
+            self.cols,
+            pattern.row_ptr().to_vec(),
+            pattern.col_idx().to_vec(),
+            values,
+        )
+    }
+
     /// Expand back to dense — the correctness oracle for the translation.
     pub fn to_dense(&self) -> DenseMatrix<S> {
         let v = self.spec.vector_len;
@@ -450,6 +483,29 @@ mod tests {
                 assert_eq!(me.nnz(), csr.nnz());
             }
         }
+    }
+
+    #[test]
+    fn gather_reads_the_pattern_back_with_zeros_kept() {
+        let csr = CsrMatrix::from_coo(&random_uniform::<f32>(37, 29, 200, 3));
+        for spec in [TcFormatSpec::FLASH_FP16, TcFormatSpec::FLASH_TF32, TcFormatSpec::SOTA16_FP16]
+        {
+            let me = MeBcrs::from_csr(&csr, spec);
+            // Same structure, some entries now `0`, `-0.0` or negative.
+            let salted = me.with_values(
+                me.values().iter().enumerate().map(|(i, &x)| [x, 0.0, -0.0, -x][i % 4]).collect(),
+            );
+            assert!(salted.to_csr().nnz() < csr.nnz(), "to_csr drops the zeros");
+            let got = salted.gather_f32(&csr);
+            assert_eq!((got.row_ptr(), got.col_idx()), (csr.row_ptr(), csr.col_idx()));
+            let dense = salted.to_dense();
+            let want: Vec<u32> = csr.iter().map(|(r, c, _)| dense.get(r, c).to_bits()).collect();
+            let got: Vec<u32> = got.values().iter().map(|x| x.to_bits()).collect();
+            assert_eq!(got, want, "{spec:?}");
+        }
+        // A position no stored vector covers reads zero.
+        let empty = MeBcrs::from_csr(&CsrMatrix::<f32>::empty(37, 29), TcFormatSpec::FLASH_FP16);
+        assert!(empty.gather_f32(&csr).values().iter().all(|x| x.to_bits() == 0));
     }
 
     #[test]

@@ -140,15 +140,7 @@ impl SparseOps {
                 let (out, run) =
                     fs_baselines::tcu16::tcgnn::sddmm_tcgnn(&m16, &a.cast(), &b.cast());
                 self.record(run.counters, run.simulated_time(self.gpu));
-                let dense = out.to_dense();
-                let values: Vec<f32> = mask.iter().map(|(r, c, _)| dense.get_f32(r, c)).collect();
-                CsrMatrix::new(
-                    mask.rows(),
-                    mask.cols(),
-                    mask.row_ptr().to_vec(),
-                    mask.col_idx().to_vec(),
-                    values,
-                )
+                out.gather_f32(mask)
             }
         }
     }
@@ -169,15 +161,7 @@ impl SparseOps {
         self.record(counters, run.simulated_time(self.gpu));
         // Back to CSR f32 preserving the mask's full pattern (computed
         // zeros included).
-        let dense = out.to_dense();
-        let values: Vec<f32> = mask.iter().map(|(r, c, _)| dense.get_f32(r, c)).collect();
-        CsrMatrix::new(
-            mask.rows(),
-            mask.cols(),
-            mask.row_ptr().to_vec(),
-            mask.col_idx().to_vec(),
-            values,
-        )
+        out.gather_f32(mask)
     }
 }
 
@@ -267,6 +251,51 @@ mod tests {
         assert_eq!(gold.row_ptr(), fp16.row_ptr());
         for (x, y) in gold.values().iter().zip(fp16.values()) {
             assert!((x - y).abs() < 0.05, "{x} vs {y}");
+        }
+    }
+
+    #[test]
+    fn sddmm_read_back_keeps_computed_zeros() {
+        // Zero rows of A make whole rows of the product exactly zero, and
+        // the negative scales turn some of those into `-0.0`.
+        let mut mask = test_graph();
+        mask.values_mut().iter_mut().step_by(3).for_each(|v| *v = -*v);
+        let a = DenseMatrix::<f32>::from_fn(48, 8, |r, c| {
+            if r % 4 == 0 {
+                0.0
+            } else {
+                ((r * 3 + c) % 5) as f32 * 0.2
+            }
+        });
+        let b = DenseMatrix::<f32>::from_fn(48, 8, |r, c| ((r + 2 * c) % 9) as f32 * 0.1);
+
+        /// The read-back this replaced: expand to dense, pick the pattern.
+        fn via_dense<S: fs_precision::Scalar>(out: &MeBcrs<S>, mask: &CsrMatrix<f32>) -> Vec<u32> {
+            let dense = out.to_dense();
+            mask.iter().map(|(r, c, _)| dense.get_f32(r, c).to_bits()).collect()
+        }
+        fn flash<S: TcuPrecision>(
+            mask: &CsrMatrix<f32>,
+            a: &DenseMatrix<f32>,
+            b: &DenseMatrix<f32>,
+        ) -> Vec<u32> {
+            let mask_s = MeBcrs::<S>::from_csr(&mask.cast(), S::SPEC);
+            let (out, _) = flash_sddmm(&mask_s, &a.cast(), &b.cast());
+            assert!(out.to_csr().nnz() < mask.nnz(), "the product must hold exact zeros");
+            via_dense(&out, mask)
+        }
+        let m16 = MeBcrs::from_csr(&mask.cast::<Tf32>(), fs_baselines::tcu16::SPEC16);
+        let (out16, _) = fs_baselines::tcu16::tcgnn::sddmm_tcgnn(&m16, &a.cast(), &b.cast());
+        for (backend, want) in [
+            (GnnBackend::FlashFp16, flash::<F16>(&mask, &a, &b)),
+            (GnnBackend::FlashTf32, flash::<Tf32>(&mask, &a, &b)),
+            (GnnBackend::TcGnnTf32, via_dense(&out16, &mask)),
+        ] {
+            let got = SparseOps::new(backend, GpuSpec::RTX4090).sddmm(&mask, &a, &b);
+            assert_eq!((got.row_ptr(), got.col_idx()), (mask.row_ptr(), mask.col_idx()));
+            let got: Vec<u32> = got.values().iter().map(|x| x.to_bits()).collect();
+            assert_eq!(got, want, "{backend:?}");
+            assert!(got.contains(&0), "{backend:?} keeps its zeros");
         }
     }
 

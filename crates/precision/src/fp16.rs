@@ -26,6 +26,53 @@ pub struct F16(pub u16);
 const SIGN_MASK: u16 = 0x8000;
 const EXP_MASK: u16 = 0x7C00;
 const MAN_MASK: u16 = 0x03FF;
+/// Smallest positive normal binary16 (2^-14).
+const MIN_NORMAL: u16 = 0x0400;
+
+const F32_SIGN: u32 = 0x8000_0000;
+const F32_INF: u32 = 0x7F80_0000;
+/// The quiet bit of an f32 NaN.
+const F32_QUIET: u32 = 0x0040_0000;
+/// 0.5f32, whose ulp is the binary16 subnormal spacing 2^-24.
+const HALF: u32 = 0x3F00_0000;
+/// 2^-14 as f32: below it binary16 is subnormal.
+const F32_MIN_NORMAL_F16: u32 = 0x3880_0000;
+/// 65520 as f32, the midpoint of `F16::MAX` and 2^16: it and everything
+/// above rounds to infinity (the tie goes to the even mantissa, up).
+const F32_OVERFLOW_F16: u32 = 0x477F_F000;
+/// Difference of the exponent biases (127 − 15).
+const EXP_REBIAS: u32 = 112;
+
+/// Round an `f32` to the nearest binary16 value (ties to even) and return
+/// it as an `f32` — the value a tensor core sees after an FP16 register
+/// load. The one rounding implementation: [`F16::from_f32`] repacks its
+/// result.
+///
+/// Straight-line integer code on the magnitude, one select per range, so
+/// loops over it vectorise. A NaN comes out quiet with its top 10 payload
+/// bits; the sign is ORed back at the end, so `-0.0` and negative
+/// underflow keep it.
+#[inline]
+pub fn f32_through_f16(x: f32) -> f32 {
+    let bits = x.to_bits();
+    let mag = bits & !F32_SIGN;
+    let rounded = if mag > F32_INF {
+        (mag & !0x1FFF) | F32_QUIET
+    } else if mag >= F32_OVERFLOW_F16 {
+        F32_INF
+    } else if mag >= F32_MIN_NORMAL_F16 {
+        // RNE on the 13 dropped mantissa bits: half an ulp minus one,
+        // plus the kept lsb, then truncate. A mantissa carry moves up a
+        // binade, which is the right answer.
+        (mag + 0x0FFF + (mag >> 13 & 1)) & !0x1FFF
+    } else {
+        // Subnormal grid 2^-24: 0.5 has exactly that ulp, so the FPU's
+        // own RNE add rounds to the grid (anything under 2^-25 to zero)
+        // and taking the 0.5 off again is exact.
+        ((f32::from_bits(mag) + 0.5) - 0.5).to_bits()
+    };
+    f32::from_bits(bits & F32_SIGN | rounded)
+}
 
 impl F16 {
     /// Positive zero.
@@ -65,105 +112,45 @@ impl F16 {
         self.0
     }
 
-    /// Convert an `f32` to binary16 with round-to-nearest-even.
+    /// Convert an `f32` to binary16 with round-to-nearest-even: round in
+    /// the f32 domain ([`f32_through_f16`]), then repack the lattice point.
+    #[inline]
     pub fn from_f32(value: f32) -> Self {
-        let bits = value.to_bits();
-        let sign = ((bits >> 16) & 0x8000) as u16;
-        let exp = ((bits >> 23) & 0xFF) as i32;
-        let man = bits & 0x007F_FFFF;
-
-        if exp == 0xFF {
-            // Inf or NaN. Preserve NaN-ness with a quiet mantissa bit.
-            return if man == 0 {
-                F16(sign | EXP_MASK)
-            } else {
-                F16(sign | EXP_MASK | 0x0200 | ((man >> 13) as u16 & MAN_MASK))
-            };
-        }
-
-        // Unbiased exponent, then re-bias for f16 (bias 15 vs 127).
-        let unbiased = exp - 127;
-        if unbiased > 15 {
-            // Overflow → infinity (RNE never rounds to MAX from above overflow
-            // threshold; values in (65504, 65520) round to 65504).
-            // The exact threshold: anything >= 65520 becomes inf; handle via
-            // full rounding below for the edge exponent.
-            if unbiased > 16 {
-                return F16(sign | EXP_MASK);
-            }
-        }
-
-        if unbiased >= -14 {
-            // Candidate normal number.
-            let exp16 = (unbiased + 15) as u16;
-            // 23-bit mantissa → 10-bit with RNE on the dropped 13 bits.
-            let man16 = man >> 13;
-            let round_bits = man & 0x1FFF;
-            let halfway = 0x1000;
-            let mut result = ((exp16 << 10) | man16 as u16) | sign;
-            if round_bits > halfway || (round_bits == halfway && (man16 & 1) == 1) {
-                // Mantissa carry may overflow into the exponent; that is the
-                // correct behaviour (e.g. 2047.5 rounds up a binade).
-                result = result.wrapping_add(1);
-            }
-            // Overflow past the largest finite exponent becomes infinity.
-            if result & EXP_MASK == EXP_MASK && result & MAN_MASK != 0 {
-                // Can't happen from the carry path, but guard anyway.
-                result = sign | EXP_MASK;
-            }
-            if exp16 >= 31 {
-                // We were already at/above the overflow binade before rounding.
-                return F16(sign | EXP_MASK);
-            }
-            return F16(result);
-        }
-
-        if unbiased >= -25 {
-            // Subnormal range: shift the implicit leading 1 into the mantissa.
-            let full_man = man | 0x0080_0000;
-            let shift = (-14 - unbiased + 13) as u32; // total right shift
-            let man16 = (full_man >> shift) as u16;
-            let round_mask = (1u32 << shift) - 1;
-            let round_bits = full_man & round_mask;
-            let halfway = 1u32 << (shift - 1);
-            let mut result = man16 | sign;
-            if round_bits > halfway || (round_bits == halfway && (man16 & 1) == 1) {
-                result = result.wrapping_add(1);
-            }
-            return F16(result);
-        }
-
-        // Too small: flush to (signed) zero.
-        F16(sign)
+        let rounded = f32_through_f16(value).to_bits();
+        let sign = (rounded >> 16) as u16 & SIGN_MASK;
+        let mag = rounded & !F32_SIGN;
+        let packed = if mag >= F32_INF {
+            // Inf, or a NaN whose top 10 payload bits survived the rounding.
+            u32::from(EXP_MASK) | (mag >> 13 & u32::from(MAN_MASK))
+        } else if mag >= F32_MIN_NORMAL_F16 {
+            // Re-bias the exponent (127 → 15); the low 13 bits are zero.
+            (mag >> 13) - (EXP_REBIAS << 10)
+        } else {
+            // `n · 2^-24`: adding 0.5 (ulp 2^-24) leaves `n` in the low
+            // mantissa bits, exactly.
+            (f32::from_bits(mag) + 0.5).to_bits() - HALF
+        };
+        F16(sign | packed as u16) // lint: checked-cast - every arm is at most 0x7FFF
     }
 
     /// Convert to `f32` exactly (every binary16 value is representable).
+    #[inline]
     pub fn to_f32(self) -> f32 {
-        let sign = ((self.0 & SIGN_MASK) as u32) << 16;
-        let exp = ((self.0 & EXP_MASK) >> 10) as u32;
-        let man = (self.0 & MAN_MASK) as u32;
-
-        let bits = if exp == 0 {
-            if man == 0 {
-                sign // signed zero
-            } else {
-                // Subnormal: value is man × 2^-24. Normalize so the MSB of
-                // `man` becomes the implicit leading 1.
-                let lz = man.leading_zeros() - 21; // shift placing MSB at bit 10
-                let man_norm = (man << lz) & MAN_MASK as u32;
-                let exp32 = 127 - 14 - lz; // 2^(msb-24) has exponent msb-24 = -14-lz
-                sign | (exp32 << 23) | (man_norm << 13)
-            }
-        } else if exp == 0x1F {
-            if man == 0 {
-                sign | 0x7F80_0000
-            } else {
-                sign | 0x7F80_0000 | (man << 13) | 0x0040_0000
-            }
+        let sign = u32::from(self.0 & SIGN_MASK) << 16;
+        let mag = u32::from(self.0 & !SIGN_MASK);
+        let bits = if mag > u32::from(EXP_MASK) {
+            // A NaN keeps its payload and comes out quiet.
+            F32_INF | F32_QUIET | (mag & u32::from(MAN_MASK)) << 13
+        } else if mag == u32::from(EXP_MASK) {
+            F32_INF
+        } else if mag >= u32::from(MIN_NORMAL) {
+            (mag << 13) + (EXP_REBIAS << 23)
         } else {
-            sign | ((exp + 127 - 15) << 23) | (man << 13)
+            // Subnormal (or zero) `n · 2^-24`: `0.5 + n · 2^-24` has the
+            // bits `HALF + n`, and taking the 0.5 off again is exact.
+            (f32::from_bits(HALF + mag) - 0.5).to_bits()
         };
-        f32::from_bits(bits)
+        f32::from_bits(sign | bits)
     }
 
     /// Convert from `f64` (via f32; double rounding is acceptable here because

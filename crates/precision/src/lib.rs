@@ -21,7 +21,7 @@ pub mod fp16;
 pub mod scalar;
 pub mod tf32;
 
-pub use fp16::F16;
+pub use fp16::{f32_through_f16, F16};
 pub use scalar::Scalar;
 pub use tf32::Tf32;
 
@@ -31,11 +31,4 @@ pub use tf32::Tf32;
 #[inline]
 pub fn f32_to_tf32(x: f32) -> f32 {
     Tf32::from_f32(x).to_f32()
-}
-
-/// Round an `f32` to binary16 and back, i.e. the value a tensor core would
-/// see after an FP16 register load. Convenience free function.
-#[inline]
-pub fn f32_through_f16(x: f32) -> f32 {
-    F16::from_f32(x).to_f32()
 }

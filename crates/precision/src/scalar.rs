@@ -69,6 +69,11 @@ impl Scalar for F16 {
     fn to_f32(self) -> f32 {
         F16::to_f32(self)
     }
+
+    #[inline]
+    fn is_zero(self) -> bool {
+        F16::is_zero(self)
+    }
 }
 
 impl Scalar for Tf32 {

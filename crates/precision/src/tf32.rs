@@ -31,24 +31,15 @@ impl Tf32 {
     pub const ONE: Tf32 = Tf32(1.0);
 
     /// Round an `f32` to the TF32 lattice (RNE on the dropped 13 bits).
+    #[inline]
     pub fn from_f32(value: f32) -> Self {
-        if value.is_nan() {
-            return Tf32(f32::NAN);
-        }
         let bits = value.to_bits();
-        let round_bits = bits & 0x1FFF;
-        let halfway = 0x1000;
-        let kept = bits & TRUNC_MASK;
-        let kept_lsb = (bits >> 13) & 1;
-        let rounded = if round_bits > halfway || (round_bits == halfway && kept_lsb == 1) {
-            // Adding 1<<13 may carry into the exponent; that is correct
-            // (rounding up across a binade), and overflow produces +inf with
-            // the right bit pattern because f32::MAX's upper bits + 1 == inf.
-            kept.wrapping_add(0x2000)
-        } else {
-            kept
-        };
-        Tf32(f32::from_bits(rounded))
+        // Half an ulp minus one, plus the kept lsb, then truncate. The
+        // add may carry into the exponent; that is correct (rounding up
+        // across a binade), and overflow produces ±inf with the right bit
+        // pattern because f32::MAX's upper bits + 1 == inf.
+        let rounded = bits.wrapping_add(0x0FFF + (bits >> 13 & 1)) & TRUNC_MASK;
+        Tf32(if value.is_nan() { f32::NAN } else { f32::from_bits(rounded) })
     }
 
     /// The exact `f32` value (TF32 is a subset of f32).

@@ -9,6 +9,14 @@
 //! `from_f32(..).to_f32()` round trip stores. Both are checked here
 //! over the whole lattice, at every rounding midpoint, and on seeded
 //! samples of the full f32 space.
+//!
+//! The crate has one rounding implementation — straight-line integer
+//! code in `f32_through_f16` / `Tf32::from_f32`, which `F16::from_f32`
+//! repacks. The branch-per-case conversions it replaced live on in
+//! [`oracle`], and the `#[ignore]`d sweep compares the two on all 2^32
+//! f32 patterns (`cargo test --release -p fs-precision -- --ignored`,
+//! ≈10 s on two cores; `ci.sh` runs it). The tests above it are the
+//! debug-build guard.
 
 use fs_precision::{f32_through_f16, f32_to_tf32, Tf32, F16};
 
@@ -141,4 +149,162 @@ fn roundings_agree_on_seeded_samples_of_all_f32() {
             check_rounding_agrees(x);
         }
     }
+}
+
+/// The conversions as they were written before the branch-light
+/// rewrite — one early return per IEEE case, rounding on the narrow
+/// pattern — kept as they were, as an independent second implementation.
+mod oracle {
+    const EXP_MASK: u16 = 0x7C00;
+    const MAN_MASK: u16 = 0x03FF;
+
+    pub fn f16_from_f32(value: f32) -> u16 {
+        let bits = value.to_bits();
+        let sign = ((bits >> 16) & 0x8000) as u16;
+        let exp = ((bits >> 23) & 0xFF) as i32;
+        let man = bits & 0x007F_FFFF;
+
+        if exp == 0xFF {
+            // Inf or NaN. Preserve NaN-ness with a quiet mantissa bit.
+            return if man == 0 {
+                sign | EXP_MASK
+            } else {
+                sign | EXP_MASK | 0x0200 | ((man >> 13) as u16 & MAN_MASK)
+            };
+        }
+
+        // Unbiased exponent, then re-bias for f16 (bias 15 vs 127).
+        let unbiased = exp - 127;
+        if unbiased > 15 {
+            // Overflow → infinity (RNE never rounds to MAX from above overflow
+            // threshold; values in (65504, 65520) round to 65504).
+            // The exact threshold: anything >= 65520 becomes inf; handle via
+            // full rounding below for the edge exponent.
+            if unbiased > 16 {
+                return sign | EXP_MASK;
+            }
+        }
+
+        if unbiased >= -14 {
+            // Candidate normal number.
+            let exp16 = (unbiased + 15) as u16;
+            // 23-bit mantissa → 10-bit with RNE on the dropped 13 bits.
+            let man16 = man >> 13;
+            let round_bits = man & 0x1FFF;
+            let halfway = 0x1000;
+            let mut result = ((exp16 << 10) | man16 as u16) | sign;
+            if round_bits > halfway || (round_bits == halfway && (man16 & 1) == 1) {
+                // Mantissa carry may overflow into the exponent; that is the
+                // correct behaviour (e.g. 2047.5 rounds up a binade).
+                result = result.wrapping_add(1);
+            }
+            // Overflow past the largest finite exponent becomes infinity.
+            if result & EXP_MASK == EXP_MASK && result & MAN_MASK != 0 {
+                // Can't happen from the carry path, but guard anyway.
+                result = sign | EXP_MASK;
+            }
+            if exp16 >= 31 {
+                // We were already at/above the overflow binade before rounding.
+                return sign | EXP_MASK;
+            }
+            return result;
+        }
+
+        if unbiased >= -25 {
+            // Subnormal: shift the implicit leading 1 into the mantissa.
+            let full_man = man | 0x0080_0000;
+            let shift = (-14 - unbiased + 13) as u32;
+            let man16 = (full_man >> shift) as u16;
+            let round_bits = full_man & ((1u32 << shift) - 1);
+            let halfway = 1u32 << (shift - 1);
+            let mut result = man16 | sign;
+            if round_bits > halfway || (round_bits == halfway && (man16 & 1) == 1) {
+                result = result.wrapping_add(1);
+            }
+            return result;
+        }
+
+        sign
+    }
+
+    pub fn f16_to_f32(h: u16) -> f32 {
+        let sign = ((h & 0x8000) as u32) << 16;
+        let exp = ((h & EXP_MASK) >> 10) as u32;
+        let man = (h & MAN_MASK) as u32;
+
+        let bits = if exp == 0 {
+            if man == 0 {
+                sign
+            } else {
+                // Normalize so the MSB of `man` becomes the implicit 1.
+                let lz = man.leading_zeros() - 21;
+                let man_norm = (man << lz) & MAN_MASK as u32;
+                let exp32 = 127 - 14 - lz;
+                sign | (exp32 << 23) | (man_norm << 13)
+            }
+        } else if exp == 0x1F {
+            if man == 0 {
+                sign | 0x7F80_0000
+            } else {
+                sign | 0x7F80_0000 | (man << 13) | 0x0040_0000
+            }
+        } else {
+            sign | ((exp + 127 - 15) << 23) | (man << 13)
+        };
+        f32::from_bits(bits)
+    }
+
+    pub fn tf32_from_f32(value: f32) -> f32 {
+        if value.is_nan() {
+            return f32::NAN;
+        }
+        let bits = value.to_bits();
+        let round_bits = bits & 0x1FFF;
+        let halfway = 0x1000;
+        let kept = bits & !0x1FFF;
+        let kept_lsb = (bits >> 13) & 1;
+        if round_bits > halfway || (round_bits == halfway && kept_lsb == 1) {
+            f32::from_bits(kept.wrapping_add(0x2000))
+        } else {
+            f32::from_bits(kept)
+        }
+    }
+}
+
+#[test]
+fn widening_matches_the_oracle_on_every_f16() {
+    for bits in 0..=u16::MAX {
+        assert_eq!(
+            F16::from_bits(bits).to_f32().to_bits(),
+            oracle::f16_to_f32(bits).to_bits(),
+            "{bits:#06x}"
+        );
+    }
+}
+
+/// Patterns in `range` on which any conversion disagrees with its oracle.
+fn mismatches(range: std::ops::RangeInclusive<u32>) -> Vec<u32> {
+    range
+        .filter(|&p| {
+            let x = f32::from_bits(p);
+            let h = oracle::f16_from_f32(x);
+            let t = oracle::tf32_from_f32(x).to_bits();
+            F16::from_f32(x).to_bits() != h
+                || f32_through_f16(x).to_bits() != oracle::f16_to_f32(h).to_bits()
+                || Tf32::from_f32(x).to_bits() != t
+                || f32_to_tf32(x).to_bits() != t
+        })
+        .collect()
+}
+
+#[test]
+#[ignore = "all 2^32 f32 patterns: cargo test --release -p fs-precision -- --ignored"]
+fn roundings_match_the_oracle_on_all_f32() {
+    let bad = std::thread::scope(|s| {
+        let low = s.spawn(|| mismatches(0..=0x7FFF_FFFF));
+        let mut bad = mismatches(0x8000_0000..=u32::MAX);
+        bad.extend(low.join().expect("sweep thread panicked"));
+        bad
+    });
+    assert!(bad.is_empty(), "{} mismatches, first {:#010x?}", bad.len(), &bad[..bad.len().min(8)]);
 }
