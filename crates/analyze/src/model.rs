@@ -116,32 +116,6 @@ impl FileModel {
             && self.comments.get(&(line - 1)).is_some_and(|c| c.contains(marker))
     }
 
-    /// Like [`FileModel::annotated`], but returns the whitespace-separated
-    /// word following the marker (e.g. the `RESP_PONG` of
-    /// `// lint: resp-pair RESP_PONG`).
-    pub fn annotation_arg(&self, line: u32, marker: &str) -> Option<String> {
-        for l in [Some(line), line.checked_sub(1)] {
-            let Some(l) = l else { continue };
-            if l != line && !self.comment_only.contains(&l) {
-                continue;
-            }
-            if let Some(c) = self.comments.get(&l) {
-                if let Some(pos) = c.find(marker) {
-                    let rest = &c[pos + marker.len()..];
-                    let word: String = rest
-                        .trim_start()
-                        .chars()
-                        .take_while(|ch| ch.is_alphanumeric() || *ch == '_')
-                        .collect();
-                    if !word.is_empty() {
-                        return Some(word);
-                    }
-                }
-            }
-        }
-        None
-    }
-
     /// Walk the dotted receiver path ending at the `.` at code-index
     /// `dot` (e.g. for `self.inner.queue.lock()`, `dot` is the final
     /// `.`). Returns path segments outermost-first (`["self", "inner",
@@ -363,13 +337,6 @@ mod tests {
     fn marker_inside_string_literal_is_not_an_annotation() {
         let m = model("let s = \"lint: allow-panic\"; let v = o.unwrap();\n");
         assert!(!m.annotated(1, "lint: allow-panic"));
-    }
-
-    #[test]
-    fn annotation_arg_extracts_word() {
-        let m = model("pub const REQ_PING: u8 = 4; // lint: resp-pair RESP_PONG (asymmetric)\n");
-        assert_eq!(m.annotation_arg(1, "lint: resp-pair").as_deref(), Some("RESP_PONG"));
-        assert_eq!(m.annotation_arg(1, "lint: nothing"), None);
     }
 
     #[test]

@@ -1,165 +1,193 @@
 //! Protocol exhaustiveness.
 //!
-//! The fs-serve wire protocol is a hand-maintained table: `REQ_*` /
-//! `RESP_*` opcode constants in `protocol.rs`, a dispatch `match` in
-//! `server.rs`, one `ServeClient` method per request in `client.rs`,
-//! and a protocol table in DESIGN.md. This analysis keeps the four in
-//! sync:
+//! The fs-serve wire protocol is declared once: the `wire_enum!` tables
+//! for `Request` and `Response` in `protocol.rs` give every message its
+//! variant name, its opcode and — for requests — the response variant it
+//! draws (`Load = 1 => Loaded { … }`). This analysis reads that table
+//! and keeps the places that must agree with it in sync:
 //!
 //! - opcode values must be unique within each direction;
-//! - every `REQ_X` needs a response opcode — `RESP_X`, a `RESP_X…`
-//!   prefix extension (`REQ_LOAD` → `RESP_LOADED`), or an explicit
-//!   `// lint: resp-pair RESP_Y` annotation for asymmetric names
-//!   (`REQ_PING` → `RESP_PONG`);
-//! - every `Request` enum variant needs a `Request::V` dispatch arm in
-//!   `server.rs` and a `Request::V` construction in `client.rs`;
-//! - every `REQ_*` constant must be mentioned in DESIGN.md.
+//! - every request must name its response (`=> Reply`), and the named
+//!   variant must exist in the `Response` table;
+//! - every request needs a `Request::V` construction in `client.rs` (a
+//!   `ServeClient` method that can send it);
+//! - every request's opcode name (`GnnInfer` → `REQ_GNN_INFER`) must be
+//!   mentioned in DESIGN.md;
+//! - the dispatch `match`es in `server.rs` and `router.rs` must carry no
+//!   catch-all arm, so rustc's exhaustiveness check is what guarantees
+//!   every request a dispatch arm in both front ends.
 
 use crate::diag::{Diagnostic, Severity};
 use crate::lexer::TokKind;
 use crate::model::FileModel;
 
-/// Inputs: the three protocol-relevant file models (any may be absent,
-/// which skips the checks needing it) and the DESIGN.md text.
+/// Inputs: the protocol-relevant file models (any may be absent, which
+/// skips the checks needing it) and the DESIGN.md text.
 pub struct ProtocolInputs<'a> {
     pub protocol: Option<&'a FileModel>,
     pub server: Option<&'a FileModel>,
+    pub router: Option<&'a FileModel>,
     pub client: Option<&'a FileModel>,
     pub design_md: Option<&'a str>,
 }
 
-struct OpConst {
-    name: String,
-    value: String,
+/// One row of a declared message table.
+struct Message {
+    variant: String,
+    opcode: String,
+    reply: Option<String>,
     line: u32,
 }
 
-fn opcode_consts(m: &FileModel) -> Vec<OpConst> {
+/// How the token at `ci` changes bracket depth: +1 for an opening
+/// bracket of any kind, −1 for a closing one.
+fn nesting(m: &FileModel, ci: usize) -> isize {
+    let is_any = |set: &str| set.chars().any(|p| m.is_punct(ci, p));
+    isize::from(is_any("{([")) - isize::from(is_any("})]"))
+}
+
+/// The rows of `enum <name> … { Variant = opcode [=> Reply] [{ … }], … }`:
+/// at depth 1 of the enum body an identifier followed by `=` and a
+/// number starts a row (field lists and attributes sit deeper).
+fn declared_messages(m: &FileModel, name: &str) -> Vec<Message> {
     let mut out = Vec::new();
-    for ci in 0..m.len().saturating_sub(5) {
-        if !m.is_ident(ci, "const") || m.kind(ci + 1) != TokKind::Ident {
-            continue;
-        }
-        let name = m.text(ci + 1);
-        if !name.starts_with("REQ_") && !name.starts_with("RESP_") {
-            continue;
-        }
-        // const NAME : u8 = <number> ;
-        if m.is_punct(ci + 2, ':')
-            && m.is_ident(ci + 3, "u8")
-            && m.is_punct(ci + 4, '=')
-            && m.kind(ci + 5) == TokKind::Number
+    let Some(at) = (0..m.len().saturating_sub(1))
+        .find(|&ci| m.is_ident(ci, "enum") && m.is_ident(ci + 1, name))
+    else {
+        return out;
+    };
+    let Some(open) = (at..m.len()).find(|&ci| m.is_punct(ci, '{')) else { return out };
+    let close = m.matching_brace(open);
+    let punct = |ci: usize, p: char| ci < close && m.is_punct(ci, p);
+    let kind = |ci: usize| (ci < close).then(|| m.kind(ci));
+    let mut depth = 0isize;
+    for ci in open..close {
+        depth += nesting(m, ci);
+        if depth == 1
+            && m.kind(ci) == TokKind::Ident
+            && punct(ci + 1, '=')
+            && kind(ci + 2) == Some(TokKind::Number)
         {
-            out.push(OpConst {
-                name: name.to_string(),
-                value: m.text(ci + 5).to_string(),
-                line: m.line(ci + 1),
+            let arrow = punct(ci + 3, '=') && punct(ci + 4, '>');
+            out.push(Message {
+                variant: m.text(ci).to_string(),
+                opcode: m.text(ci + 2).to_string(),
+                reply: (arrow && kind(ci + 5) == Some(TokKind::Ident))
+                    .then(|| m.text(ci + 5).to_string()),
+                line: m.line(ci),
             });
         }
     }
     out
 }
 
+/// The opcode name the docs use for a variant: `GnnInfer` under `REQ`
+/// is `REQ_GNN_INFER`.
+fn opcode_name(prefix: &str, variant: &str) -> String {
+    let mut name = prefix.to_string();
+    for ch in variant.chars() {
+        if ch.is_ascii_uppercase() {
+            name.push('_');
+        }
+        name.push(ch.to_ascii_uppercase());
+    }
+    name
+}
+
+/// The line of a catch-all arm (`_ =>` or a lone binding) in the
+/// `match` of `fn dispatch`, if it has one.
+fn catch_all_arm(m: &FileModel) -> Option<u32> {
+    let (lo, hi) = m.fn_body("dispatch", None)?;
+    let at = (lo..hi).find(|&ci| m.is_ident(ci, "match"))?;
+    let open = (at..hi).find(|&ci| m.is_punct(ci, '{'))?;
+    let close = m.matching_brace(open);
+    let mut depth = 0isize;
+    for ci in open..close {
+        depth += nesting(m, ci);
+        // An arm starts after the match's `{`, after a `,`, or after the
+        // `}` of a block arm; a pattern that is one identifier matches
+        // every request not named above it.
+        let arm_start = depth == 1 && "{,}".chars().any(|p| m.is_punct(ci, p));
+        if arm_start
+            && ci + 3 < close
+            && m.kind(ci + 1) == TokKind::Ident
+            && m.is_punct(ci + 2, '=')
+            && m.is_punct(ci + 3, '>')
+        {
+            return Some(m.line(ci + 1));
+        }
+    }
+    None
+}
+
 /// Run the analysis.
 pub fn analyze(inp: &ProtocolInputs<'_>) -> Vec<Diagnostic> {
     let Some(proto) = inp.protocol else { return Vec::new() };
     let mut out = Vec::new();
-    let consts = opcode_consts(proto);
-    let reqs: Vec<&OpConst> = consts.iter().filter(|c| c.name.starts_with("REQ_")).collect();
-    let resps: Vec<&OpConst> = consts.iter().filter(|c| c.name.starts_with("RESP_")).collect();
+    let mut error = |file: &FileModel, line: u32, message: String| {
+        out.push(Diagnostic::new("protocol", Severity::Error, &file.path, line, message));
+    };
+    let reqs = declared_messages(proto, "Request");
+    let resps = declared_messages(proto, "Response");
 
     // Unique opcode values per direction.
     for set in [&reqs, &resps] {
         for (i, a) in set.iter().enumerate() {
-            if let Some(b) = set[..i].iter().find(|b| b.value == a.value) {
-                out.push(Diagnostic::new(
-                    "protocol",
-                    Severity::Error,
-                    &proto.path,
-                    a.line,
-                    format!("opcode `{}` reuses value {} of `{}`", a.name, a.value, b.name),
-                ));
+            if let Some(b) = set[..i].iter().find(|b| b.opcode == a.opcode) {
+                let message =
+                    format!("`{}` reuses opcode {} of `{}`", a.variant, a.opcode, b.variant);
+                error(proto, a.line, message);
             }
         }
     }
 
-    // Request/response pairing.
     for r in &reqs {
-        let suffix = &r.name["REQ_".len()..];
-        let paired = resps.iter().any(|p| p.name["RESP_".len()..].starts_with(suffix));
-        let annotated = proto.annotation_arg(r.line, "lint: resp-pair");
-        match (paired, annotated) {
-            (true, _) => {}
-            (false, Some(named)) => {
-                if !resps.iter().any(|p| p.name == named) {
-                    out.push(Diagnostic::new(
-                        "protocol",
-                        Severity::Error,
-                        &proto.path,
-                        r.line,
-                        format!(
-                            "`{}` is annotated as paired with `{named}`, which does not exist",
-                            r.name
-                        ),
-                    ));
-                }
-            }
-            (false, None) => {
-                out.push(Diagnostic::new(
-                    "protocol",
-                    Severity::Error,
-                    &proto.path,
-                    r.line,
-                    format!(
-                        "`{}` has no matching RESP_* opcode (add one, or annotate the \
-                         asymmetric pair with `// lint: resp-pair RESP_Y`)",
-                        r.name
-                    ),
-                ));
-            }
+        // Request/response pairing.
+        match &r.reply {
+            Some(reply) if resps.iter().any(|p| p.variant == *reply) => {}
+            Some(reply) => error(
+                proto,
+                r.line,
+                format!(
+                    "`Request::{}` is declared as answered by `Response::{reply}`, which does \
+                     not exist",
+                    r.variant
+                ),
+            ),
+            None => error(
+                proto,
+                r.line,
+                format!(
+                    "`Request::{}` names no response (declare it as `{} = {} => Reply`)",
+                    r.variant, r.variant, r.opcode
+                ),
+            ),
         }
-        if let Some(design) = inp.design_md {
-            if !design.contains(&r.name) {
-                out.push(Diagnostic::new(
-                    "protocol",
-                    Severity::Error,
-                    &proto.path,
-                    r.line,
-                    format!("`{}` is not documented in DESIGN.md", r.name),
-                ));
-            }
+        let name = opcode_name("REQ", &r.variant);
+        if inp.design_md.is_some_and(|design| !design.contains(&name)) {
+            error(proto, r.line, format!("`{name}` is not documented in DESIGN.md"));
+        }
+        if let Some(client) = inp.client.filter(|c| !c.has_path("Request", &r.variant)) {
+            error(
+                proto,
+                r.line,
+                format!(
+                    "no ServeClient method constructs `Request::{}` in {}",
+                    r.variant,
+                    client.path.display()
+                ),
+            );
         }
     }
 
-    // Enum-variant coverage in server dispatch and client construction.
-    for (variant, line) in proto.enum_variants("Request") {
-        if let Some(server) = inp.server {
-            if !server.has_path("Request", &variant) {
-                out.push(Diagnostic::new(
-                    "protocol",
-                    Severity::Error,
-                    &proto.path,
-                    line,
-                    format!(
-                        "`Request::{variant}` has no dispatch arm in {}",
-                        server.path.display()
-                    ),
-                ));
-            }
-        }
-        if let Some(client) = inp.client {
-            if !client.has_path("Request", &variant) {
-                out.push(Diagnostic::new(
-                    "protocol",
-                    Severity::Error,
-                    &proto.path,
-                    line,
-                    format!(
-                        "no ServeClient method constructs `Request::{variant}` in {}",
-                        client.path.display()
-                    ),
-                ));
-            }
+    // Dispatch exhaustiveness is rustc's job — as long as neither front
+    // end's `match` hides a missing arm behind a catch-all.
+    for front_end in [inp.server, inp.router].into_iter().flatten() {
+        if let Some(line) = catch_all_arm(front_end) {
+            let message = "the `dispatch` match has a catch-all arm: a new `Request` variant \
+                           would be swallowed instead of failing to compile"
+                .to_string();
+            error(front_end, line, message);
         }
     }
     out
@@ -174,17 +202,35 @@ mod tests {
         FileModel::new(PathBuf::from(path), src.to_string())
     }
 
-    const PROTO: &str =
-        "pub const REQ_LOAD: u8 = 1;\npub const REQ_PING: u8 = 4; // lint: resp-pair RESP_PONG\n\
-        pub const RESP_LOADED: u8 = 128;\npub const RESP_PONG: u8 = 131;\n\
-        pub enum Request { Load { id: u64 }, Ping, }\n";
+    fn proto(table: &str) -> FileModel {
+        model("crates/serve/src/protocol.rs", table)
+    }
+
+    fn run(protocol: &FileModel) -> Vec<Diagnostic> {
+        analyze(&ProtocolInputs {
+            protocol: Some(protocol),
+            server: None,
+            router: None,
+            client: None,
+            design_md: None,
+        })
+    }
+
+    const PROTO: &str = "wire_enum! { pub enum Request: \"request tag\" {\n\
+        /// Register.\n Load = 1 => Loaded { #[doc = \"x\"] id: u64, b: Vec<f32> as Counted<u16> },\n\
+        Ping = 4 => Pong,\n} }\n\
+        wire_enum! { pub enum Response: \"response tag\" {\n\
+        Loaded = 128 { id: u64 },\n Pong = 131,\n Error = 255 { code: ErrorCode },\n} }\n";
 
     #[test]
     fn complete_protocol_is_clean() {
-        let proto = model("crates/serve/src/protocol.rs", PROTO);
+        let proto = proto(PROTO);
         let server = model(
             "crates/serve/src/server.rs",
-            "fn dispatch(r: Request) { match r { Request::Load { .. } => {}, Request::Ping => {} } }\n",
+            "fn dispatch(r: Request) -> Response { match r {\n\
+             Request::Load { id: _, b } => match b.len() { 0 => empty(), _ => loaded(b) },\n\
+             Request::Ping => { Response::Pong }\n\
+             } }\n",
         );
         let client = model(
             "crates/serve/src/client.rs",
@@ -193,6 +239,7 @@ mod tests {
         let d = analyze(&ProtocolInputs {
             protocol: Some(&proto),
             server: Some(&server),
+            router: Some(&server),
             client: Some(&client),
             design_md: Some("| `REQ_LOAD` | 1 | | `REQ_PING` | 4 |"),
         });
@@ -200,8 +247,28 @@ mod tests {
     }
 
     #[test]
+    fn table_rows_carry_variant_opcode_and_reply() {
+        let proto = proto(PROTO);
+        let rows = |name| {
+            declared_messages(&proto, name)
+                .into_iter()
+                .map(|m| (m.variant, m.opcode, m.reply))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            rows("Request"),
+            vec![
+                ("Load".to_string(), "1".to_string(), Some("Loaded".to_string())),
+                ("Ping".to_string(), "4".to_string(), Some("Pong".to_string())),
+            ]
+        );
+        assert_eq!(rows("Response").len(), 3);
+        assert_eq!(opcode_name("REQ", "GnnInfer"), "REQ_GNN_INFER");
+    }
+
+    #[test]
     fn missing_client_method_flagged() {
-        let proto = model("crates/serve/src/protocol.rs", PROTO);
+        let proto = proto(PROTO);
         let client = model(
             "crates/serve/src/client.rs",
             "impl ServeClient { fn load(&self) { send(Request::Load { id: 0 }); } }\n",
@@ -209,6 +276,7 @@ mod tests {
         let d = analyze(&ProtocolInputs {
             protocol: Some(&proto),
             server: None,
+            router: None,
             client: Some(&client),
             design_md: None,
         });
@@ -219,52 +287,68 @@ mod tests {
 
     #[test]
     fn unpaired_req_and_unknown_annotation_flagged() {
-        let src = "pub const REQ_EVICT: u8 = 9;\npub const RESP_LOADED: u8 = 128;\n";
-        let proto = model("crates/serve/src/protocol.rs", src);
-        let d = analyze(&ProtocolInputs {
-            protocol: Some(&proto),
-            server: None,
-            client: None,
-            design_md: None,
-        });
-        assert_eq!(d.len(), 1);
-        assert!(d[0].message.contains("no matching RESP_*"));
-        let bad = "pub const REQ_EVICT: u8 = 9; // lint: resp-pair RESP_GONE\npub const RESP_LOADED: u8 = 128;\n";
-        let proto = model("crates/serve/src/protocol.rs", bad);
-        let d = analyze(&ProtocolInputs {
-            protocol: Some(&proto),
-            server: None,
-            client: None,
-            design_md: None,
-        });
-        assert_eq!(d.len(), 1);
-        assert!(d[0].message.contains("RESP_GONE"));
+        let d = run(&proto(
+            "pub enum Request: \"r\" { Evict = 9 { id: u64 } }\n\
+             pub enum Response: \"r\" { Loaded = 128 }\n",
+        ));
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert!(d[0].message.contains("names no response"), "{}", d[0].message);
+        let d = run(&proto(
+            "pub enum Request: \"r\" { Evict = 9 => Gone { id: u64 } }\n\
+             pub enum Response: \"r\" { Loaded = 128 }\n",
+        ));
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert!(d[0].message.contains("Response::Gone"), "{}", d[0].message);
     }
 
     #[test]
     fn duplicate_opcode_values_flagged() {
-        let src = "pub const REQ_A: u8 = 1;\npub const REQ_B: u8 = 1;\npub const RESP_A: u8 = 128;\npub const RESP_B: u8 = 129;\n";
-        let proto = model("crates/serve/src/protocol.rs", src);
-        let d = analyze(&ProtocolInputs {
-            protocol: Some(&proto),
-            server: None,
-            client: None,
-            design_md: None,
-        });
-        assert!(d.iter().any(|x| x.message.contains("reuses value 1")), "{d:?}");
+        let d = run(&proto(
+            "pub enum Request: \"r\" { A = 1 => A, B = 1 => B }\n\
+             pub enum Response: \"r\" { A = 128, B = 129 }\n",
+        ));
+        assert!(d.iter().any(|x| x.message.contains("reuses opcode 1")), "{d:?}");
     }
 
     #[test]
     fn undocumented_req_flagged() {
-        let src = "pub const REQ_LOAD: u8 = 1;\npub const RESP_LOADED: u8 = 128;\n";
-        let proto = model("crates/serve/src/protocol.rs", src);
+        let proto = proto(
+            "pub enum Request: \"r\" { Load = 1 => Loaded }\n\
+             pub enum Response: \"r\" { Loaded = 128 }\n",
+        );
         let d = analyze(&ProtocolInputs {
             protocol: Some(&proto),
             server: None,
+            router: None,
             client: None,
             design_md: Some("the protocol is documented elsewhere"),
         });
         assert_eq!(d.len(), 1);
         assert!(d[0].message.contains("DESIGN.md"));
+    }
+
+    #[test]
+    fn catch_all_dispatch_arm_flagged() {
+        let proto = proto(PROTO);
+        for (arm, line) in [("_ => refuse(),", 3), ("other => refuse(other),", 3)] {
+            let router = model(
+                "crates/cluster/src/router.rs",
+                &format!(
+                    "fn dispatch(r: Request) -> Response {{ match r {{\n\
+                     Request::Ping => {{ Response::Pong }}\n{arm}\n}} }}\n"
+                ),
+            );
+            let d = analyze(&ProtocolInputs {
+                protocol: Some(&proto),
+                server: None,
+                router: Some(&router),
+                client: None,
+                design_md: None,
+            });
+            assert_eq!(d.len(), 1, "{arm}: {d:?}");
+            assert_eq!(d[0].line, line, "{arm}");
+            assert!(d[0].message.contains("catch-all"), "{}", d[0].message);
+            assert!(d[0].file.ends_with("router.rs"), "{:?}", d[0].file);
+        }
     }
 }

@@ -89,6 +89,7 @@ impl Workspace {
         out.extend(protocol::analyze(&protocol::ProtocolInputs {
             protocol: self.find("serve/src/protocol.rs"),
             server: self.find("serve/src/server.rs"),
+            router: self.find("cluster/src/router.rs"),
             client: self.find("serve/src/client.rs"),
             design_md: self.text("DESIGN.md"),
         }));

@@ -64,11 +64,10 @@ fn relaxed_store_then_signal_flagged() {
 
 #[test]
 fn req_opcode_missing_client_method_flagged() {
-    let protocol = "pub const REQ_LOAD: u8 = 1;\n\
-                    pub const REQ_EVICT: u8 = 2;\n\
-                    pub const RESP_LOADED: u8 = 128;\n\
-                    pub const RESP_EVICTED: u8 = 129;\n\
-                    pub enum Request { Load, Evict, }\n";
+    let protocol = "wire_enum! { pub enum Request: \"request tag\" {\n\
+                    Load = 1 => Loaded,\n Evict = 2 => Evicted { id: u64 },\n} }\n\
+                    wire_enum! { pub enum Response: \"response tag\" {\n\
+                    Loaded = 128,\n Evicted = 129 { existed: bool },\n} }\n";
     let server =
         "fn dispatch(r: Request) { match r { Request::Load => {}, Request::Evict => {} } }\n";
     // Client knows Load but nobody can send Evict.

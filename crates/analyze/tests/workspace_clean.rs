@@ -2,8 +2,9 @@
 //! empty and in sync — the regression tests for every annotation and
 //! doc fix the analyses forced (`// lint: relaxed-ok` sites in
 //! fs-trace/fs-chaos/fs-tcu, `// lint: fast-exempt` counter fields, the
-//! `REQ_PING`/`RESP_PONG` pairing note, and the DESIGN.md §7 opcode
-//! table). Deleting any of them turns a finding back on and fails here.
+//! `=> Reply` pairing in the `fs_serve::protocol` message table, and the
+//! DESIGN.md §7 opcode table). Deleting any of them turns a finding back
+//! on and fails here.
 
 use std::path::Path;
 

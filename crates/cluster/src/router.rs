@@ -2,7 +2,11 @@
 //! matrix is too large (or too hot) for one `fs-serve` process.
 //!
 //! The router speaks the same length-prefixed protocol as the shards it
-//! fronts. `Load` row-partitions the matrix into contiguous slabs —
+//! fronts, on the same [`fs_serve::Listener`]: accepting, connection
+//! threads, decoding, encoding and the drain are the listener's; this
+//! module supplies the `dispatch` handler and what a router does when it
+//! stops (end the heal thread, pass the shutdown on to the shards).
+//! `Load` row-partitions the matrix into contiguous slabs —
 //! placement by [`crate::ShardMap`] — and registers each slab (rebased
 //! to slab-local row indices) on its primary shard and, when replication
 //! is on, its replica. `ClusterSpmm` scatters the dense operand to every
@@ -28,19 +32,19 @@
 
 use std::collections::HashMap;
 use std::io;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, Instant};
 
 use fs_chaos::{Backoff, FaultSite};
-use fs_matrix::{CooMatrix, CsrMatrix};
+use fs_matrix::{CooMatrix, CsrMatrix, DenseMatrix};
 use fs_serve::client::{ClientError, ServeClient};
-use fs_serve::protocol::{fnv1a64, read_frame, write_frame, ErrorCode, Request, Response};
-use fs_serve::{Fingerprint, DEFAULT_MAX_LOAD_DIM};
+use fs_serve::protocol::{fnv1a64, ErrorCode, Request, Response, SpmmCall};
+use fs_serve::{Fingerprint, Listener, DEFAULT_MAX_LOAD_DIM};
 use fs_trace::export::JsonWriter;
 use fs_trace::Site;
 use parking_lot::Mutex;
@@ -431,11 +435,7 @@ impl RouterState {
 /// A bound, running router. Accepts until a `Shutdown` message arrives.
 pub struct Router {
     state: Arc<RouterState>,
-    listener: TcpListener,
-    addr: SocketAddr,
-    start_epoch: u64,
-    stop: Arc<AtomicBool>,
-    conns: Arc<Mutex<Vec<(thread::JoinHandle<()>, TcpStream)>>>,
+    listener: Listener,
     propagate_shutdown: bool,
 }
 
@@ -444,26 +444,17 @@ impl Router {
     /// via [`Router::run`]. When a journal is configured, the manifest
     /// is recovered from its valid prefix before the listener accepts.
     pub fn bind(cfg: &RouterConfig) -> io::Result<Router> {
-        let listener = TcpListener::bind(&cfg.addr)?;
-        let addr = listener.local_addr()?;
-        let start_epoch = SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map(|d| d.as_millis().min(u128::from(u64::MAX)) as u64) // lint: checked-cast - clamped
-            .unwrap_or(0);
+        let listener = Listener::bind(&cfg.addr)?;
         Ok(Router {
             state: Arc::new(RouterState::new(cfg)?),
             listener,
-            addr,
-            start_epoch,
-            stop: Arc::new(AtomicBool::new(false)),
-            conns: Arc::new(Mutex::new(Vec::new())),
             propagate_shutdown: cfg.propagate_shutdown,
         })
     }
 
     /// The bound address (useful with port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.listener.local_addr()
     }
 
     /// The shared router state (topology and counters).
@@ -471,17 +462,20 @@ impl Router {
         &self.state
     }
 
-    /// Accept and serve connections until a `Shutdown` request arrives,
-    /// then propagate the shutdown to every shard (unless configured
-    /// not to) and join every connection thread. A non-zero
-    /// `probe_interval` also runs the heal loop — probe, repair,
-    /// rejoin — on a background thread for the router's lifetime.
+    /// Accept and serve connections on the shared [`Listener`] until a
+    /// `Shutdown` request arrives, then propagate the shutdown to every
+    /// shard (unless configured not to) and join every connection
+    /// thread. A non-zero `probe_interval` also runs the heal loop —
+    /// probe, repair, rejoin — on a background thread for the router's
+    /// lifetime.
     pub fn run(self) -> io::Result<()> {
+        let Router { state, listener, propagate_shutdown } = self;
+        let stop = Arc::new(AtomicBool::new(false));
         let heal_handle = {
-            let interval = self.state.heal.config().probe_interval;
+            let interval = state.heal.config().probe_interval;
             if interval > Duration::ZERO {
-                let stop = Arc::clone(&self.stop);
-                let state = Arc::clone(&self.state);
+                let stop = Arc::clone(&stop);
+                let state = Arc::clone(&state);
                 Some(thread::Builder::new().name("fs-cluster-heal".to_string()).spawn(
                     move || {
                         while !stop.load(Ordering::Acquire) {
@@ -497,103 +491,27 @@ impl Router {
                 None
             }
         };
-        for conn in self.listener.incoming() {
-            if self.stop.load(Ordering::Acquire) {
-                break;
-            }
-            let stream = match conn {
-                Ok(s) => s,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => continue,
-                Err(e) => return Err(e),
-            };
-            let peer = match stream.try_clone() {
-                Ok(p) => p,
-                Err(_) => continue,
-            };
-            let state = Arc::clone(&self.state);
-            let stop = Arc::clone(&self.stop);
-            let addr = self.addr;
-            let start_epoch = self.start_epoch;
-            let handle = thread::Builder::new()
-                .name("fs-cluster-conn".to_string())
-                .spawn(move || handle_connection(stream, &state, &stop, addr, start_epoch))?;
-            self.conns.lock().push((handle, peer));
-            if self.stop.load(Ordering::Acquire) {
-                break;
-            }
-        }
-        if let Some(h) = heal_handle {
-            let _ = h.join();
-        }
-        // Tell every shard to drain too: one Shutdown against the router
-        // tears the whole cluster down, which is what scripted runs want.
-        // (A restart-bound router leaves its shards running instead.)
-        if self.propagate_shutdown {
-            let addrs: Vec<String> =
-                self.state.map.lock().shards().iter().map(|s| s.addr.clone()).collect();
-            for addr in addrs {
-                let _ = self.state.shard_call(&addr, |c| c.shutdown());
-            }
-        }
-        let conns: Vec<(thread::JoinHandle<()>, TcpStream)> =
-            std::mem::take(&mut *self.conns.lock());
-        for (_, peer) in &conns {
-            let _ = peer.shutdown(Shutdown::Read);
-        }
-        for (h, _) in conns {
-            let _ = h.join();
-        }
-        Ok(())
-    }
-}
-
-fn handle_connection(
-    stream: TcpStream,
-    state: &Arc<RouterState>,
-    stop: &Arc<AtomicBool>,
-    router_addr: SocketAddr,
-    start_epoch: u64,
-) {
-    let _ = stream.set_nodelay(true);
-    let mut reader = match stream.try_clone() {
-        Ok(r) => r,
-        Err(_) => return,
-    };
-    let mut writer = stream;
-    loop {
-        let payload = match read_frame(&mut reader) {
-            Ok(Some(p)) => p,
-            Ok(None) => return,
-            Err(_) => return,
-        };
-        let response = match Request::decode(&payload) {
-            Ok(req) => {
-                let is_shutdown = matches!(req, Request::Shutdown);
-                let resp = dispatch(req, state, router_addr, start_epoch);
-                if is_shutdown {
-                    let _ = resp.encode().map(|bytes| write_frame(&mut writer, &bytes));
-                    stop.store(true, Ordering::Release);
-                    let _ = TcpStream::connect_timeout(&router_addr, Duration::from_secs(1));
-                    return;
+        let (addr, start_epoch) = (listener.local_addr(), listener.start_epoch());
+        let draining = Arc::clone(&state);
+        listener.run(
+            "fs-cluster-conn",
+            move |req| dispatch(req, &state, addr, start_epoch),
+            move || {
+                stop.store(true, Ordering::Release);
+                if let Some(h) = heal_handle {
+                    let _ = h.join();
                 }
-                resp
-            }
-            Err(e) => Response::Error { code: ErrorCode::BadRequest, message: e.to_string() },
-        };
-        let bytes = match response.encode() {
-            Ok(b) => b,
-            Err(e) => {
-                let fallback =
-                    Response::Error { code: ErrorCode::Internal, message: e.to_string() };
-                match fallback.encode() {
-                    Ok(b) => b,
-                    Err(_) => return,
+                // Tell every shard to drain too: one Shutdown against the
+                // router tears the whole cluster down, which is what
+                // scripted runs want. (A restart-bound router leaves its
+                // shards running instead.)
+                if propagate_shutdown {
+                    for addr in draining.shard_addrs() {
+                        let _ = draining.shard_call(&addr, |c| c.shutdown());
+                    }
                 }
-            }
-        };
-        if write_frame(&mut writer, &bytes).is_err() {
-            return;
-        }
+            },
+        )
     }
 }
 
@@ -633,9 +551,7 @@ fn dispatch(
         Request::Load { tenant, rows, cols, entries } => {
             route_load(state, tenant, rows, cols, entries)
         }
-        Request::ClusterSpmm { tenant: _, matrix_id, deadline_ms, b_rows, n, b } => {
-            cluster_spmm(state, matrix_id, deadline_ms, b_rows, n, b)
-        }
+        Request::ClusterSpmm { call } => cluster_spmm(state, call),
         Request::Spmm { .. } => Response::Error {
             code: ErrorCode::BadRequest,
             message: "this is a router: use the cluster SpMM op (REQ_CLUSTER_SPMM)".to_string(),
@@ -805,14 +721,8 @@ struct SlabOutcome {
 }
 
 /// Scatter the operand to every slab holder, gather the row slabs back.
-fn cluster_spmm(
-    state: &Arc<RouterState>,
-    matrix_id: u64,
-    deadline_ms: u32,
-    b_rows: u32,
-    n: u32,
-    b: Vec<f32>,
-) -> Response {
+fn cluster_spmm(state: &Arc<RouterState>, call: SpmmCall) -> Response {
+    let SpmmCall { tenant: _, matrix_id, deadline_ms, b } = call;
     // lint: relaxed-ok - monotonic counter, read only for metrics
     state.stats.cluster_requests.fetch_add(1, Ordering::Relaxed);
     let matrix = {
@@ -827,11 +737,13 @@ fn cluster_spmm(
             }
         }
     };
-    if b_rows as usize != matrix.cols || b.len() != b_rows as usize * n as usize {
+    if b.rows() != matrix.cols {
         return Response::Error {
             code: ErrorCode::BadRequest,
             message: format!(
-                "operand is {b_rows}x{n} ({} values); matrix needs {} rows",
+                "operand is {}x{} ({} values); matrix needs {} rows",
+                b.rows(),
+                b.cols(),
                 b.len(),
                 matrix.cols
             ),
@@ -854,7 +766,7 @@ fn cluster_spmm(
         .collect();
     let stall = fs_chaos::stall_duration();
 
-    let n_usize = n as usize;
+    let n = b.cols();
     let outcomes: Vec<SlabOutcome> = {
         let _scatter = fs_trace::span(Site::ClusterScatter);
         thread::scope(|scope| {
@@ -867,7 +779,7 @@ fn cluster_spmm(
                     let tenant = matrix.tenant.clone();
                     let b = &b;
                     scope.spawn(move || {
-                        serve_slab(&state, &tenant, slab, b, n_usize, deadline_ms, kill, {
+                        serve_slab(&state, &tenant, slab, b, deadline_ms, kill, {
                             if stall_hit {
                                 Some(stall)
                             } else {
@@ -895,7 +807,7 @@ fn cluster_spmm(
 
     let _gather = fs_trace::span(Site::ClusterGather);
     let rows = matrix.rows;
-    let mut out = vec![0.0f32; rows * n_usize];
+    let mut out = DenseMatrix::<f32>::zeros(rows, n);
     let mut present = vec![0u8; rows.div_ceil(8)];
     let mut degraded = false;
     let mut shards_ok: u32 = 0;
@@ -908,7 +820,7 @@ fn cluster_spmm(
         }
         match &o.out {
             Some(slab_out) => {
-                out[o.rows.start * n_usize..o.rows.end * n_usize].copy_from_slice(slab_out);
+                out.as_mut_slice()[o.rows.start * n..o.rows.end * n].copy_from_slice(slab_out);
                 for r in o.rows.clone() {
                     present[r / 8] |= 1 << (r % 8);
                 }
@@ -926,8 +838,6 @@ fn cluster_spmm(
     // lint: relaxed-ok - monotonic counter, read only for metrics
     state.stats.replica_serves.fetch_add(replica_serves, Ordering::Relaxed);
     Response::ClusterSpmm {
-        rows: rows.min(u32::MAX as usize) as u32,
-        n,
         out,
         degraded,
         present: if degraded { present } else { Vec::new() },
@@ -939,13 +849,11 @@ fn cluster_spmm(
 /// One slab of a scatter: primary, then replica, inside a
 /// `cluster.shard_wait` span (the per-shard contribution to the fan-out
 /// tail).
-#[allow(clippy::too_many_arguments)]
 fn serve_slab(
     state: &RouterState,
     tenant: &str,
     slab: &SlabState,
-    b: &[f32],
-    n: usize,
+    b: &DenseMatrix<f32>,
     deadline_ms: u32,
     kill: bool,
     stall: Option<Duration>,
@@ -955,7 +863,7 @@ fn serve_slab(
         thread::sleep(d);
     }
     let mut failures = 0u64;
-    let slab_rows = slab.rows.len();
+    let (slab_rows, n) = (slab.rows.len(), b.cols());
     // An injected kill means "the primary is gone this round": the
     // attempt fails without touching the wire, exactly like a dead host
     // behind a connect timeout, minus the wait. A shard the failure
@@ -964,7 +872,7 @@ fn serve_slab(
     if !kill && !state.heal.is_down(slab.primary) {
         if let Some(addr) = state.shard_addr(slab.primary) {
             match state.shard_call(&addr, |c| {
-                c.spmm(tenant, slab.primary_id, b.len() / n.max(1), n, b, deadline_ms)
+                c.spmm(tenant, slab.primary_id, b.rows(), n, b.as_slice(), deadline_ms)
             }) {
                 Ok(resp) if resp.rows == slab_rows && resp.n == n => {
                     return SlabOutcome {
@@ -993,7 +901,7 @@ fn serve_slab(
         }
         if let Some(addr) = state.shard_addr(replica_idx) {
             match state.shard_call(&addr, |c| {
-                c.spmm(tenant, replica_id, b.len() / n.max(1), n, b, deadline_ms)
+                c.spmm(tenant, replica_id, b.rows(), n, b.as_slice(), deadline_ms)
             }) {
                 Ok(resp) if resp.rows == slab_rows && resp.n == n => {
                     return SlabOutcome {

@@ -36,6 +36,13 @@ impl<S: Scalar> DenseMatrix<S> {
         DenseMatrix { rows, cols, data }
     }
 
+    /// Wrap an existing row-major buffer, or `None` when its length is not
+    /// `rows * cols` — the constructor for dimensions that arrive from
+    /// outside the program.
+    pub fn try_from_vec(rows: usize, cols: usize, data: Vec<S>) -> Option<Self> {
+        (rows.checked_mul(cols) == Some(data.len())).then_some(DenseMatrix { rows, cols, data })
+    }
+
     /// Build from f32 values, rounding each into `S`.
     pub fn from_f32_slice(rows: usize, cols: usize, values: &[f32]) -> Self {
         assert_eq!(values.len(), rows * cols);
@@ -102,6 +109,11 @@ impl<S: Scalar> DenseMatrix<S> {
     #[inline]
     pub fn as_slice(&self) -> &[S] {
         &self.data
+    }
+
+    /// Give up the backing buffer, row-major, without copying it.
+    pub fn into_vec(self) -> Vec<S> {
+        self.data
     }
 
     /// Mutable backing buffer.
@@ -199,6 +211,16 @@ mod tests {
         assert_eq!(m.get(2, 3), 7.5);
         assert_eq!(m.get(0, 0), 0.0);
         assert_eq!(m.row(2), &[0.0, 0.0, 0.0, 7.5]);
+    }
+
+    #[test]
+    fn try_from_vec_checks_the_length_and_into_vec_returns_the_buffer() {
+        let m = DenseMatrix::<f32>::try_from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]).expect("2x2");
+        assert_eq!(m.row(1), &[3.0, 4.0]);
+        assert_eq!(m.into_vec(), vec![1.0, 2.0, 3.0, 4.0]);
+        assert!(DenseMatrix::<f32>::try_from_vec(2, 2, vec![0.0; 3]).is_none());
+        assert!(DenseMatrix::<f32>::try_from_vec(usize::MAX, 2, vec![]).is_none());
+        assert!(DenseMatrix::<f32>::try_from_vec(1 << 40, 0, vec![]).is_some());
     }
 
     #[test]

@@ -12,9 +12,11 @@ use std::time::Duration;
 
 use flashsparse::FallbackLevel;
 use fs_chaos::Backoff;
-use fs_matrix::CsrMatrix;
+use fs_matrix::{CsrMatrix, DenseMatrix};
 
-use crate::protocol::{read_frame, write_frame, ErrorCode, ProtoError, Request, Response};
+use crate::protocol::{
+    read_frame, write_frame, ErrorCode, ProtoError, Request, Response, SpmmCall,
+};
 
 /// Default socket read/write timeout: generous next to any sane request,
 /// tiny next to "forever".
@@ -158,6 +160,27 @@ pub struct ServeClient {
     connect_timeout: Duration,
 }
 
+/// A caller's `rows × cols` view of `values` as the typed matrix the
+/// protocol carries; a shape the values do not fill is refused here,
+/// before anything is sent.
+fn dense(rows: usize, cols: usize, values: Vec<f32>) -> Result<DenseMatrix<f32>, ProtoError> {
+    let len = values.len();
+    DenseMatrix::try_from_vec(rows, cols, values)
+        .ok_or_else(|| ProtoError(format!("{len} values do not fill a {rows}x{cols} matrix")))
+}
+
+fn spmm_call(
+    tenant: &str,
+    matrix_id: u64,
+    b_rows: usize,
+    n: usize,
+    b: &[f32],
+    deadline_ms: u32,
+) -> Result<SpmmCall, ProtoError> {
+    let b = dense(b_rows, n, b.to_vec())?;
+    Ok(SpmmCall { tenant: tenant.to_string(), matrix_id, deadline_ms, b })
+}
+
 fn configure(stream: &TcpStream, timeout: Option<Duration>) -> io::Result<()> {
     stream.set_nodelay(true)?;
     stream.set_read_timeout(timeout)?;
@@ -259,8 +282,7 @@ impl ServeClient {
     }
 
     fn call(&mut self, req: &Request) -> Result<Response, ClientError> {
-        let payload = req.encode()?;
-        write_frame(&mut self.stream, &payload)?;
+        write_frame(&mut self.stream, &req.frame()?)?;
         let frame = read_frame(&mut self.stream)?
             .ok_or_else(|| ClientError::Unexpected("server closed the connection".into()))?;
         let resp = Response::decode(&frame)?;
@@ -312,15 +334,8 @@ impl ServeClient {
         b: &[f32],
         deadline_ms: u32,
     ) -> Result<SpmmResult, ClientError> {
-        let req = Request::Spmm {
-            tenant: tenant.to_string(),
-            matrix_id,
-            deadline_ms,
-            b_rows: b_rows as u32,
-            n: n as u32,
-            b: b.to_vec(),
-        };
-        match self.call(&req)? {
+        let call = spmm_call(tenant, matrix_id, b_rows, n, b, deadline_ms)?;
+        match self.call(&Request::Spmm { call })? {
             Response::Spmm {
                 cache_hit,
                 batch_size,
@@ -328,13 +343,11 @@ impl ServeClient {
                 service_micros,
                 fallback_level,
                 verified,
-                rows,
-                n,
                 out,
             } => Ok(SpmmResult {
-                out,
-                rows: rows as usize,
-                n: n as usize,
+                rows: out.rows(),
+                n: out.cols(),
+                out: out.into_vec(),
                 cache_hit,
                 batch_size: batch_size as usize,
                 queue_micros,
@@ -464,6 +477,10 @@ impl ServeClient {
         weights: Vec<(u32, u32, Vec<f32>)>,
         scalars: Vec<f32>,
     ) -> Result<(u64, u64, u32), ClientError> {
+        let weights = weights
+            .into_iter()
+            .map(|(rows, cols, values)| dense(rows as usize, cols as usize, values))
+            .collect::<Result<_, _>>()?;
         let req =
             Request::GnnRegister { tenant: tenant.to_string(), matrix_id, kind, weights, scalars };
         match self.call(&req)? {
@@ -495,20 +512,16 @@ impl ServeClient {
             precision,
             deadline_ms,
             node_ids: node_ids.to_vec(),
-            f_rows: f_rows as u32,
-            f_cols: f_cols as u32,
-            features: features.to_vec(),
+            features: dense(f_rows, f_cols, features.to_vec())?,
         };
         match self.call(&req)? {
-            Response::GnnInfer { rows, classes, scores, layer_micros, cache_hit } => {
-                Ok(GnnInferResult {
-                    scores,
-                    rows: rows as usize,
-                    classes: classes as usize,
-                    layer_micros,
-                    cache_hit,
-                })
-            }
+            Response::GnnInfer { scores, layer_micros, cache_hit } => Ok(GnnInferResult {
+                rows: scores.rows(),
+                classes: scores.cols(),
+                scores: scores.into_vec(),
+                layer_micros,
+                cache_hit,
+            }),
             other => Err(ClientError::Unexpected(format!("{other:?}"))),
         }
     }
@@ -526,20 +539,13 @@ impl ServeClient {
         b: &[f32],
         deadline_ms: u32,
     ) -> Result<ClusterSpmmResult, ClientError> {
-        let req = Request::ClusterSpmm {
-            tenant: tenant.to_string(),
-            matrix_id,
-            deadline_ms,
-            b_rows: b_rows as u32,
-            n: n as u32,
-            b: b.to_vec(),
-        };
-        match self.call(&req)? {
-            Response::ClusterSpmm { rows, n, out, degraded, present, shards_ok, shards_failed } => {
+        let call = spmm_call(tenant, matrix_id, b_rows, n, b, deadline_ms)?;
+        match self.call(&Request::ClusterSpmm { call })? {
+            Response::ClusterSpmm { out, degraded, present, shards_ok, shards_failed } => {
                 Ok(ClusterSpmmResult {
-                    out,
-                    rows: rows as usize,
-                    n: n as usize,
+                    rows: out.rows(),
+                    n: out.cols(),
+                    out: out.into_vec(),
                     degraded,
                     present,
                     shards_ok,

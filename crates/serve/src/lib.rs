@@ -18,7 +18,9 @@
 //!   pass at per-request FP16/TF32/FP32 precision, with an LRU
 //!   per-layer embedding cache keyed by feature fingerprint.
 //! - [`protocol`]/[`server`]/[`client`] — a length-prefixed binary TCP
-//!   protocol (std::net only) plus a blocking client.
+//!   protocol (std::net only) whose every message is declared once in
+//!   [`protocol`], the framed-connection [`Listener`] the server and the
+//!   `fs-cluster` router both run on, and a blocking client.
 //! - [`loadgen`] — open/closed-loop traffic generation with a JSON
 //!   latency/throughput report, plus a `--chaos` soak mode that verifies
 //!   every response against the scalar reference while a fault plan is
@@ -84,4 +86,4 @@ pub use gnn_infer::{
     backend_for_precision, GnnConfig, GnnError, GnnInferRequest, GnnInferResponse, GnnModelInfo,
 };
 pub use loadgen::{percentile, LoadReport, LoadgenConfig, MatrixSpec};
-pub use server::{Server, ServerConfig, DEFAULT_MAX_LOAD_DIM};
+pub use server::{Listener, Server, ServerConfig, DEFAULT_MAX_LOAD_DIM};

@@ -1,332 +1,40 @@
-//! The length-prefixed binary protocol `fs-serve` speaks over TCP.
+//! The length-prefixed binary protocol `fs-serve` speaks over TCP, and
+//! the one module that knows its layout.
 //!
-//! Framing: every message is `[u32 LE payload length][u64 LE FNV-1a
-//! checksum][payload]`; the payload's first byte is the message tag, the
-//! rest is the tag-specific body. All integers are little-endian; floats
-//! are IEEE-754 bit patterns; strings are `u16 LE length + UTF-8 bytes`.
-//! Frames above [`MAX_FRAME_BYTES`] are refused before allocation, so a
-//! garbage peer cannot OOM the server.
+//! **Framing.** Every message is `[u32 LE payload length][u64 LE FNV-1a
+//! checksum][payload]`; the payload's first byte is the opcode, the rest
+//! is the opcode's body. A message is encoded straight behind a reserved
+//! 12-byte header which is patched with length and checksum afterwards
+//! ([`Request::frame`] / [`Response::frame`]), so [`write_frame`] sends
+//! the bytes it is given. Frames above [`MAX_FRAME_BYTES`] are refused
+//! before allocation, so a garbage peer cannot OOM the server. The
+//! checksum turns silent wire corruption (a flipped byte anywhere in the
+//! payload — which the chaos layer injects deliberately) into a clean
+//! [`io::ErrorKind::InvalidData`] error the client can retry, instead of
+//! a plausibly-decoded frame carrying wrong numbers.
 //!
-//! The checksum turns silent wire corruption (a flipped byte anywhere in
-//! the payload — which the chaos layer injects deliberately) into a
-//! clean [`io::ErrorKind::InvalidData`] error the client can retry,
-//! instead of a plausibly-decoded frame carrying wrong numbers.
+//! **Wire forms.** [`Wire`] is implemented once per shape that appears
+//! in a body: little-endian integers and IEEE-754 bit patterns, `bool`
+//! as one byte, [`Counted<N>`] for strings and lists behind an `N`-typed
+//! length (`String` on its own is `u16`-counted, [`CooEntries`] is
+//! `u64`-counted), tuples, and [`DenseMatrix<f32>`] as `u32 rows ‖ u32
+//! cols ‖ rows·cols f32` moved as one slab. A dense payload is a typed
+//! field, so dimensions that disagree with the data length cannot be
+//! written down, let alone sent.
+//!
+//! **Messages.** Each message is declared once — variant, opcode, the
+//! response a request draws, fields in wire order — in the `wire_enum!`
+//! invocations below; the enum, the encoder and the decoder are all
+//! derived from that declaration, and `fs-analyze` reads the same table.
+//! Adding opcode 13 is one declaration here plus its dispatch arm.
 
 use std::io::{self, Read, Write};
+use std::marker::PhantomData;
+
+use fs_matrix::DenseMatrix;
 
 /// Refuse frames larger than this (256 MiB) before allocating.
 pub const MAX_FRAME_BYTES: usize = 256 << 20;
-
-/// Client → server messages.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Request {
-    /// Register a COO matrix; the server replies [`Response::Loaded`].
-    Load {
-        /// Tenant the matrix (and later work) is accounted to.
-        tenant: String,
-        /// Matrix rows.
-        rows: u32,
-        /// Matrix columns.
-        cols: u32,
-        /// COO entries `(row, col, value)`.
-        entries: Vec<(u32, u32, f32)>,
-    },
-    /// SpMM against a registered matrix.
-    Spmm {
-        /// Tenant the work is accounted to.
-        tenant: String,
-        /// Handle from [`Response::Loaded`].
-        matrix_id: u64,
-        /// Deadline in milliseconds (0 = server default).
-        deadline_ms: u32,
-        /// Dense operand rows (must equal the matrix's column count).
-        b_rows: u32,
-        /// Dense operand columns (`n`).
-        n: u32,
-        /// Row-major operand data, `b_rows × n` values.
-        b: Vec<f32>,
-    },
-    /// Fetch the metrics JSON document.
-    Metrics,
-    /// Fetch the trace exports (Prometheus text + chrome trace JSON) —
-    /// the metrics path's tracing extension. Empty dumps when the
-    /// server runs with tracing disarmed.
-    Trace,
-    /// Liveness probe.
-    Ping,
-    /// Ask the server to drain and exit.
-    Shutdown,
-    /// Announce a shard to a router: the shard's listen address and its
-    /// `start_epoch` (from the metrics document), so the router can tell
-    /// a restarted shard from the one it registered slabs on. Plain
-    /// `fs-serve` shards answer with their resident fingerprints (an
-    /// anti-entropy inventory the router checks against its manifest);
-    /// routers answer with the shard's ring position.
-    ShardJoin {
-        /// The shard's listen address (`host:port`).
-        addr: String,
-        /// The shard's start epoch (milliseconds since the Unix epoch at
-        /// bind time; strictly increases across restarts).
-        start_epoch: u64,
-    },
-    /// SpMM against a row-partitioned matrix: the router scatters the
-    /// dense operand to every shard holding a slab and gathers the row
-    /// slabs back. Same argument shape as [`Request::Spmm`]. Plain
-    /// shards reject this with [`ErrorCode::BadRequest`].
-    ClusterSpmm {
-        /// Tenant the work is accounted to.
-        tenant: String,
-        /// Handle from [`Response::Loaded`] (router-issued).
-        matrix_id: u64,
-        /// Deadline in milliseconds (0 = router default); also the
-        /// per-shard wait bound during scatter.
-        deadline_ms: u32,
-        /// Dense operand rows (must equal the matrix's column count).
-        b_rows: u32,
-        /// Dense operand columns (`n`).
-        n: u32,
-        /// Row-major operand data, `b_rows × n` values.
-        b: Vec<f32>,
-    },
-    /// Export a registered matrix as COO entries — the repair path's
-    /// source copy when re-replicating a slab from a surviving holder.
-    Export {
-        /// Tenant the matrix was registered under.
-        tenant: String,
-        /// Handle from [`Response::Loaded`].
-        matrix_id: u64,
-    },
-    /// Evict a registered matrix (anti-entropy: a rejoining shard drops
-    /// slabs the manifest no longer assigns to it).
-    Evict {
-        /// Tenant the matrix was registered under.
-        tenant: String,
-        /// Handle from [`Response::Loaded`].
-        matrix_id: u64,
-    },
-    /// Register trained GNN weights against an already-loaded graph;
-    /// the server replies [`Response::GnnRegistered`]. The graph (for
-    /// GCN: the normalized adjacency; for AGNN: the normalized adjacency
-    /// doubling as the attention mask) must have been registered with
-    /// [`Request::Load`] first.
-    GnnRegister {
-        /// Tenant the model is accounted to.
-        tenant: String,
-        /// Graph handle from [`Response::Loaded`].
-        matrix_id: u64,
-        /// Model kind: 0 = GCN, 1 = AGNN.
-        kind: u8,
-        /// Dense weight matrices in forward order as
-        /// `(rows, cols, row-major values)`: per-layer `W` for GCN;
-        /// `[w_in, w_out]` for AGNN.
-        weights: Vec<(u32, u32, Vec<f32>)>,
-        /// Trained scalars: empty for GCN; per-attention-layer β for
-        /// AGNN (the count sets the number of attention layers).
-        scalars: Vec<f32>,
-    },
-    /// Run a full multi-layer forward pass server-side; the server
-    /// replies [`Response::GnnInfer`]. Aggregation always spans the full
-    /// registered graph; `node_ids` only selects which rows of the
-    /// logits come back (mini-batch scoring).
-    GnnInfer {
-        /// Tenant the work is accounted to.
-        tenant: String,
-        /// Model handle from [`Response::GnnRegistered`].
-        model_id: u64,
-        /// Kernel precision: 0 = FP32 (CUDA-core reference),
-        /// 1 = TF32 (FlashSparse `m16n8k4`), 2 = FP16 (FlashSparse
-        /// `m16n8k8`) — Table 8's accuracy/latency knob, per request.
-        precision: u8,
-        /// Deadline in milliseconds (0 = server default).
-        deadline_ms: u32,
-        /// Node ids whose scores to return; empty = all nodes.
-        node_ids: Vec<u32>,
-        /// Feature-matrix rows (must equal the graph's node count).
-        f_rows: u32,
-        /// Feature-matrix columns (must equal the model's input dim).
-        f_cols: u32,
-        /// Row-major node features, `f_rows × f_cols` values.
-        features: Vec<f32>,
-    },
-}
-
-/// Server → client messages.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Response {
-    /// A matrix was registered.
-    Loaded {
-        /// Handle for subsequent [`Request::Spmm`]s.
-        matrix_id: u64,
-        /// High 64 bits of the content fingerprint.
-        fingerprint_hi: u64,
-        /// Low 64 bits of the content fingerprint.
-        fingerprint_lo: u64,
-        /// Nonzeros after deduplication.
-        nnz: u64,
-    },
-    /// An SpMM completed.
-    Spmm {
-        /// Whether the translated format came from the cache.
-        cache_hit: bool,
-        /// Micro-batch size this request rode in.
-        batch_size: u32,
-        /// Microseconds queued.
-        queue_micros: u64,
-        /// Microseconds of execution.
-        service_micros: u64,
-        /// Which fallback-ladder rung produced the output
-        /// (`flashsparse::FallbackLevel` wire encoding: 0 = tuned,
-        /// 1 = default variant, 2 = scalar reference).
-        fallback_level: u8,
-        /// Whether the output passed server-side verification (scalar
-        /// outputs report `true`: they *are* the reference).
-        verified: bool,
-        /// Output rows.
-        rows: u32,
-        /// Output columns.
-        n: u32,
-        /// Row-major output, `rows × n` values.
-        out: Vec<f32>,
-    },
-    /// The metrics document.
-    Metrics {
-        /// JSON text.
-        json: String,
-    },
-    /// The trace exports.
-    Trace {
-        /// Prometheus text exposition dump.
-        prometheus: String,
-        /// chrome://tracing `trace_events` JSON document.
-        chrome: String,
-    },
-    /// Ping reply.
-    Pong,
-    /// Shutdown acknowledged; the server drains after sending this.
-    ShutdownAck,
-    /// A shard was registered with the router — or, when sent by a plain
-    /// shard, the shard's residency inventory.
-    ShardJoined {
-        /// The shard's position in the router's ring (0 from a plain
-        /// shard answering with its inventory).
-        shard_index: u32,
-        /// Total shards the router now knows (1 from a plain shard).
-        shard_count: u32,
-        /// Already-resident matrices as `(fingerprint_hi,
-        /// fingerprint_lo, matrix_id)` triples, ascending by id. A
-        /// router's reply leaves this empty; a shard's reply is the
-        /// anti-entropy inventory the router reconciles on rejoin.
-        resident: Vec<(u64, u64, u64)>,
-    },
-    /// A scatter-gather SpMM completed (possibly degraded).
-    ClusterSpmm {
-        /// Output rows (the full matrix's row count, even when degraded).
-        rows: u32,
-        /// Output columns.
-        n: u32,
-        /// Row-major output, `rows × n` values; rows whose slab was lost
-        /// are zero-filled and cleared in `present`.
-        out: Vec<f32>,
-        /// Whether any slab was lost (some rows are missing).
-        degraded: bool,
-        /// Present-rows bitmap, `ceil(rows / 8)` bytes, row `r` present
-        /// iff bit `r % 8` of byte `r / 8` is set. Empty when not
-        /// degraded (all rows present).
-        present: Vec<u8>,
-        /// Shards that returned their slab.
-        shards_ok: u32,
-        /// Shards (counting replica retries) that failed or timed out.
-        shards_failed: u32,
-    },
-    /// A registered matrix's COO entries.
-    Export {
-        /// Matrix rows.
-        rows: u32,
-        /// Matrix columns.
-        cols: u32,
-        /// COO entries `(row, col, value)` in CSR iteration order.
-        entries: Vec<(u32, u32, f32)>,
-    },
-    /// An eviction completed.
-    Evicted {
-        /// Whether the matrix existed (and was dropped).
-        existed: bool,
-    },
-    /// A GNN model was registered.
-    GnnRegistered {
-        /// Handle for subsequent [`Request::GnnInfer`]s.
-        model_id: u64,
-        /// Resident parameter bytes charged to the registry budget.
-        weight_bytes: u64,
-        /// Timed layers a forward pass of this model reports.
-        layers: u32,
-    },
-    /// A GNN inference completed.
-    GnnInfer {
-        /// Score rows returned (requested node count, or all nodes).
-        rows: u32,
-        /// Classes per node (the model's output dimension).
-        classes: u32,
-        /// Row-major logits, `rows × classes` values, in `node_ids`
-        /// order (natural order when all nodes were requested).
-        scores: Vec<f32>,
-        /// Per-layer execution microseconds, forward order. Zeros on an
-        /// embedding-cache hit (no layers ran).
-        layer_micros: Vec<u64>,
-        /// Whether the logits came from the embedding cache.
-        cache_hit: bool,
-    },
-    /// The request failed.
-    Error {
-        /// Machine-readable reason.
-        code: ErrorCode,
-        /// Human-readable detail.
-        message: String,
-    },
-}
-
-/// Why a request failed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ErrorCode {
-    /// Admission control refused: the queue is full.
-    QueueFull,
-    /// The request's deadline passed before execution.
-    DeadlineExceeded,
-    /// A server-side failure (worker panic, internal error).
-    Internal,
-    /// The request was malformed.
-    BadRequest,
-    /// No matrix with that id.
-    UnknownMatrix,
-    /// A server-side resource budget (registered-matrix count or bytes)
-    /// is exhausted.
-    ResourceExhausted,
-}
-
-impl ErrorCode {
-    fn to_byte(self) -> u8 {
-        match self {
-            ErrorCode::QueueFull => 1,
-            ErrorCode::DeadlineExceeded => 2,
-            ErrorCode::Internal => 3,
-            ErrorCode::BadRequest => 4,
-            ErrorCode::UnknownMatrix => 5,
-            ErrorCode::ResourceExhausted => 6,
-        }
-    }
-
-    fn from_byte(b: u8) -> Option<ErrorCode> {
-        match b {
-            1 => Some(ErrorCode::QueueFull),
-            2 => Some(ErrorCode::DeadlineExceeded),
-            3 => Some(ErrorCode::Internal),
-            4 => Some(ErrorCode::BadRequest),
-            5 => Some(ErrorCode::UnknownMatrix),
-            6 => Some(ErrorCode::ResourceExhausted),
-            _ => None,
-        }
-    }
-}
 
 /// A malformed frame or payload.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -357,23 +65,35 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// The complete wire bytes of one frame: header (length + checksum)
-/// followed by the payload. Exposed so the server's chaos write path can
-/// corrupt or truncate the exact bytes a healthy write would send.
-pub fn frame_bytes(payload: &[u8]) -> io::Result<Vec<u8>> {
-    if payload.len() > MAX_FRAME_BYTES {
+/// Patch the header of `frame` — [`FRAME_HEADER_BYTES`] reserved bytes
+/// with the payload already behind them — with the payload's length and
+/// checksum.
+fn seal_frame(frame: &mut [u8]) -> io::Result<()> {
+    let (header, payload) = frame.split_at_mut(FRAME_HEADER_BYTES);
+    let len = u32::try_from(payload.len()).ok().filter(|&n| n as usize <= MAX_FRAME_BYTES);
+    let Some(len) = len else {
         return Err(io::Error::new(io::ErrorKind::InvalidData, "frame exceeds MAX_FRAME_BYTES"));
-    }
+    };
+    header[..4].copy_from_slice(&len.to_le_bytes());
+    header[4..].copy_from_slice(&fnv1a64(payload).to_le_bytes());
+    Ok(())
+}
+
+/// The complete wire bytes of one frame around a copy of `payload` — for
+/// payloads that were not encoded behind their own header (the cluster
+/// journal's records).
+pub fn frame_bytes(payload: &[u8]) -> io::Result<Vec<u8>> {
     let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+    out.extend_from_slice(&[0; FRAME_HEADER_BYTES]);
     out.extend_from_slice(payload);
+    seal_frame(&mut out)?;
     Ok(out)
 }
 
-/// Write one length-prefixed, checksummed frame.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    w.write_all(&frame_bytes(payload)?)?;
+/// Send one complete frame, as [`Request::frame`], [`Response::frame`]
+/// or [`frame_bytes`] built it.
+pub fn write_frame(w: &mut impl Write, frame: &[u8]) -> io::Result<()> {
+    w.write_all(frame)?;
     w.flush()
 }
 
@@ -403,16 +123,19 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     Ok(Some(payload))
 }
 
-// --- payload encoding ---
+// --- wire forms ---
 
-struct Cursor<'a> {
+/// A read position in a frame payload.
+pub struct Cursor<'a> {
     data: &'a [u8],
     pos: usize,
+    reserved: usize,
 }
 
 impl<'a> Cursor<'a> {
-    fn new(data: &'a [u8]) -> Cursor<'a> {
-        Cursor { data, pos: 0 }
+    /// Start reading `data` from its first byte.
+    pub fn new(data: &'a [u8]) -> Cursor<'a> {
+        Cursor { data, pos: 0, reserved: 0 }
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], ProtoError> {
@@ -432,45 +155,28 @@ impl<'a> Cursor<'a> {
         Ok(s)
     }
 
-    fn u8(&mut self) -> Result<u8, ProtoError> {
-        Ok(self.take(1)?[0])
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], ProtoError> {
+        let mut a = [0u8; N];
+        a.copy_from_slice(self.take(N)?);
+        Ok(a)
     }
 
-    fn u16(&mut self) -> Result<u16, ProtoError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
+    /// An empty list for `declared` items. The capacity never needs more
+    /// memory than the payload has bytes left, so a count field set to
+    /// `u64::MAX` in a 30-byte frame reserves next to nothing; a list
+    /// that really is that long grows as its items arrive.
+    fn list<T>(&mut self, declared: usize) -> Vec<T> {
+        let fit = (self.data.len() - self.pos) / std::mem::size_of::<T>().max(1);
+        let items = Vec::with_capacity(declared.min(fit));
+        self.reserved += items.capacity() * std::mem::size_of::<T>();
+        items
     }
 
-    fn u32(&mut self) -> Result<u32, ProtoError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, ProtoError> {
-        let b = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_le_bytes(a))
-    }
-
-    fn f32(&mut self) -> Result<f32, ProtoError> {
-        Ok(f32::from_bits(self.u32()?))
-    }
-
-    fn string(&mut self) -> Result<String, ProtoError> {
-        let len = self.u16()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| ProtoError("invalid UTF-8 string".into()))
-    }
-
-    fn f32_vec(&mut self, count: usize) -> Result<Vec<f32>, ProtoError> {
-        let bytes = self.take(
-            count.checked_mul(4).ok_or_else(|| ProtoError("f32 vector length overflows".into()))?,
-        )?;
-        Ok(bytes
-            .chunks_exact(4)
-            .map(|c| f32::from_bits(u32::from_le_bytes([c[0], c[1], c[2], c[3]])))
-            .collect())
+    /// Bytes of list capacity reserved so far on the strength of count
+    /// fields alone — what the hostile-bytes sweep holds to the payload
+    /// length.
+    pub fn reserved_bytes(&self) -> usize {
+        self.reserved
     }
 
     fn done(&self) -> Result<(), ProtoError> {
@@ -482,526 +188,564 @@ impl<'a> Cursor<'a> {
     }
 }
 
-fn put_string(out: &mut Vec<u8>, s: &str) -> Result<(), ProtoError> {
-    let len =
-        u16::try_from(s.len()).map_err(|_| ProtoError("string longer than 65535 bytes".into()))?;
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-    Ok(())
+/// One way of laying values of `T` out on the wire. A type with a single
+/// layout is its own form (`u32`, `String`, [`DenseMatrix<f32>`], every
+/// message); a field whose layout is not implied by its type names the
+/// form in its declaration (`json: String as Counted<u32>`).
+pub trait Wire<T = Self> {
+    /// Append `v` to `out`.
+    fn put(v: &T, out: &mut Vec<u8>) -> Result<(), ProtoError>;
+    /// Read one value at the cursor.
+    fn get(c: &mut Cursor<'_>) -> Result<T, ProtoError>;
 }
 
-fn put_f32s(out: &mut Vec<u8>, values: &[f32]) {
-    out.reserve(values.len() * 4);
-    for v in values {
-        out.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-}
-
-const REQ_LOAD: u8 = 1;
-const REQ_SPMM: u8 = 2;
-const REQ_METRICS: u8 = 3;
-const REQ_PING: u8 = 4; // lint: resp-pair RESP_PONG
-const REQ_SHUTDOWN: u8 = 5;
-const REQ_TRACE: u8 = 6;
-const REQ_SHARD_JOIN: u8 = 7;
-const REQ_CLUSTER_SPMM: u8 = 8;
-const REQ_EXPORT: u8 = 9;
-const REQ_EVICT: u8 = 10;
-const REQ_GNN_REGISTER: u8 = 11;
-const REQ_GNN_INFER: u8 = 12;
-
-const RESP_LOADED: u8 = 128;
-const RESP_SPMM: u8 = 129;
-const RESP_METRICS: u8 = 130;
-const RESP_PONG: u8 = 131;
-const RESP_SHUTDOWN_ACK: u8 = 132;
-const RESP_TRACE: u8 = 133;
-const RESP_SHARD_JOINED: u8 = 134;
-const RESP_CLUSTER_SPMM: u8 = 135;
-const RESP_EXPORT: u8 = 136;
-const RESP_EVICTED: u8 = 137;
-const RESP_GNN_REGISTERED: u8 = 138;
-const RESP_GNN_INFER: u8 = 139;
-const RESP_ERROR: u8 = 255;
-
-impl Request {
-    /// Encode to a frame payload.
-    pub fn encode(&self) -> Result<Vec<u8>, ProtoError> {
-        let mut out = Vec::new();
-        match self {
-            Request::Load { tenant, rows, cols, entries } => {
-                out.push(REQ_LOAD);
-                put_string(&mut out, tenant)?;
-                out.extend_from_slice(&rows.to_le_bytes());
-                out.extend_from_slice(&cols.to_le_bytes());
-                let n = u64::try_from(entries.len())
-                    .map_err(|_| ProtoError("too many entries".into()))?;
-                out.extend_from_slice(&n.to_le_bytes());
-                for (r, c, v) in entries {
-                    out.extend_from_slice(&r.to_le_bytes());
-                    out.extend_from_slice(&c.to_le_bytes());
-                    out.extend_from_slice(&v.to_bits().to_le_bytes());
-                }
+macro_rules! wire_le {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            fn put(v: &$t, out: &mut Vec<u8>) -> Result<(), ProtoError> {
+                out.extend_from_slice(&v.to_le_bytes());
+                Ok(())
             }
-            Request::Spmm { tenant, matrix_id, deadline_ms, b_rows, n, b } => {
-                if b.len() != *b_rows as usize * *n as usize {
-                    return Err(ProtoError(format!(
-                        "operand has {} values, dims say {}",
-                        b.len(),
-                        *b_rows as usize * *n as usize
-                    )));
-                }
-                out.push(REQ_SPMM);
-                put_string(&mut out, tenant)?;
-                out.extend_from_slice(&matrix_id.to_le_bytes());
-                out.extend_from_slice(&deadline_ms.to_le_bytes());
-                out.extend_from_slice(&b_rows.to_le_bytes());
-                out.extend_from_slice(&n.to_le_bytes());
-                put_f32s(&mut out, b);
-            }
-            Request::Metrics => out.push(REQ_METRICS),
-            Request::Trace => out.push(REQ_TRACE),
-            Request::Ping => out.push(REQ_PING),
-            Request::Shutdown => out.push(REQ_SHUTDOWN),
-            Request::ShardJoin { addr, start_epoch } => {
-                out.push(REQ_SHARD_JOIN);
-                put_string(&mut out, addr)?;
-                out.extend_from_slice(&start_epoch.to_le_bytes());
-            }
-            Request::ClusterSpmm { tenant, matrix_id, deadline_ms, b_rows, n, b } => {
-                if b.len() != *b_rows as usize * *n as usize {
-                    return Err(ProtoError(format!(
-                        "operand has {} values, dims say {}",
-                        b.len(),
-                        *b_rows as usize * *n as usize
-                    )));
-                }
-                out.push(REQ_CLUSTER_SPMM);
-                put_string(&mut out, tenant)?;
-                out.extend_from_slice(&matrix_id.to_le_bytes());
-                out.extend_from_slice(&deadline_ms.to_le_bytes());
-                out.extend_from_slice(&b_rows.to_le_bytes());
-                out.extend_from_slice(&n.to_le_bytes());
-                put_f32s(&mut out, b);
-            }
-            Request::Export { tenant, matrix_id } => {
-                out.push(REQ_EXPORT);
-                put_string(&mut out, tenant)?;
-                out.extend_from_slice(&matrix_id.to_le_bytes());
-            }
-            Request::Evict { tenant, matrix_id } => {
-                out.push(REQ_EVICT);
-                put_string(&mut out, tenant)?;
-                out.extend_from_slice(&matrix_id.to_le_bytes());
-            }
-            Request::GnnRegister { tenant, matrix_id, kind, weights, scalars } => {
-                for (i, (rows, cols, data)) in weights.iter().enumerate() {
-                    if data.len() != *rows as usize * *cols as usize {
-                        return Err(ProtoError(format!(
-                            "weight {i} has {} values, dims say {}",
-                            data.len(),
-                            *rows as usize * *cols as usize
-                        )));
-                    }
-                }
-                out.push(REQ_GNN_REGISTER);
-                put_string(&mut out, tenant)?;
-                out.extend_from_slice(&matrix_id.to_le_bytes());
-                out.push(*kind);
-                let n = u16::try_from(weights.len())
-                    .map_err(|_| ProtoError("too many weight matrices".into()))?;
-                out.extend_from_slice(&n.to_le_bytes());
-                for (rows, cols, data) in weights {
-                    out.extend_from_slice(&rows.to_le_bytes());
-                    out.extend_from_slice(&cols.to_le_bytes());
-                    put_f32s(&mut out, data);
-                }
-                let n = u16::try_from(scalars.len())
-                    .map_err(|_| ProtoError("too many scalars".into()))?;
-                out.extend_from_slice(&n.to_le_bytes());
-                put_f32s(&mut out, scalars);
-            }
-            Request::GnnInfer {
-                tenant,
-                model_id,
-                precision,
-                deadline_ms,
-                node_ids,
-                f_rows,
-                f_cols,
-                features,
-            } => {
-                if features.len() != *f_rows as usize * *f_cols as usize {
-                    return Err(ProtoError(format!(
-                        "features have {} values, dims say {}",
-                        features.len(),
-                        *f_rows as usize * *f_cols as usize
-                    )));
-                }
-                out.push(REQ_GNN_INFER);
-                put_string(&mut out, tenant)?;
-                out.extend_from_slice(&model_id.to_le_bytes());
-                out.push(*precision);
-                out.extend_from_slice(&deadline_ms.to_le_bytes());
-                let n = u32::try_from(node_ids.len())
-                    .map_err(|_| ProtoError("too many node ids".into()))?;
-                out.extend_from_slice(&n.to_le_bytes());
-                for id in node_ids {
-                    out.extend_from_slice(&id.to_le_bytes());
-                }
-                out.extend_from_slice(&f_rows.to_le_bytes());
-                out.extend_from_slice(&f_cols.to_le_bytes());
-                put_f32s(&mut out, features);
+            fn get(c: &mut Cursor<'_>) -> Result<$t, ProtoError> {
+                Ok(<$t>::from_le_bytes(c.array()?))
             }
         }
-        Ok(out)
-    }
+    )*};
+}
+wire_le!(u8, u16, u32, u64, f32);
 
-    /// Decode a frame payload.
-    pub fn decode(payload: &[u8]) -> Result<Request, ProtoError> {
-        let mut c = Cursor::new(payload);
-        let req = match c.u8()? {
-            REQ_LOAD => {
-                let tenant = c.string()?;
-                let rows = c.u32()?;
-                let cols = c.u32()?;
-                let n = c.u64()? as usize;
-                let mut entries = Vec::with_capacity(n.min(1 << 20));
-                for _ in 0..n {
-                    entries.push((c.u32()?, c.u32()?, c.f32()?));
-                }
-                Request::Load { tenant, rows, cols, entries }
-            }
-            REQ_SPMM => {
-                let tenant = c.string()?;
-                let matrix_id = c.u64()?;
-                let deadline_ms = c.u32()?;
-                let b_rows = c.u32()?;
-                let n = c.u32()?;
-                let b = c.f32_vec(b_rows as usize * n as usize)?;
-                Request::Spmm { tenant, matrix_id, deadline_ms, b_rows, n, b }
-            }
-            REQ_METRICS => Request::Metrics,
-            REQ_TRACE => Request::Trace,
-            REQ_PING => Request::Ping,
-            REQ_SHUTDOWN => Request::Shutdown,
-            REQ_SHARD_JOIN => Request::ShardJoin { addr: c.string()?, start_epoch: c.u64()? },
-            REQ_CLUSTER_SPMM => {
-                let tenant = c.string()?;
-                let matrix_id = c.u64()?;
-                let deadline_ms = c.u32()?;
-                let b_rows = c.u32()?;
-                let n = c.u32()?;
-                let b = c.f32_vec(b_rows as usize * n as usize)?;
-                Request::ClusterSpmm { tenant, matrix_id, deadline_ms, b_rows, n, b }
-            }
-            REQ_EXPORT => Request::Export { tenant: c.string()?, matrix_id: c.u64()? },
-            REQ_EVICT => Request::Evict { tenant: c.string()?, matrix_id: c.u64()? },
-            REQ_GNN_REGISTER => {
-                let tenant = c.string()?;
-                let matrix_id = c.u64()?;
-                let kind = c.u8()?;
-                let n = c.u16()? as usize;
-                let mut weights = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let rows = c.u32()?;
-                    let cols = c.u32()?;
-                    let data = c.f32_vec(rows as usize * cols as usize)?;
-                    weights.push((rows, cols, data));
-                }
-                let n = c.u16()? as usize;
-                let scalars = c.f32_vec(n)?;
-                Request::GnnRegister { tenant, matrix_id, kind, weights, scalars }
-            }
-            REQ_GNN_INFER => {
-                let tenant = c.string()?;
-                let model_id = c.u64()?;
-                let precision = c.u8()?;
-                let deadline_ms = c.u32()?;
-                let n = c.u32()? as usize;
-                let mut node_ids = Vec::with_capacity(n.min(1 << 20));
-                for _ in 0..n {
-                    node_ids.push(c.u32()?);
-                }
-                let f_rows = c.u32()?;
-                let f_cols = c.u32()?;
-                let features = c.f32_vec(f_rows as usize * f_cols as usize)?;
-                Request::GnnInfer {
-                    tenant,
-                    model_id,
-                    precision,
-                    deadline_ms,
-                    node_ids,
-                    f_rows,
-                    f_cols,
-                    features,
-                }
-            }
-            tag => return Err(ProtoError(format!("unknown request tag {tag}"))),
-        };
-        c.done()?;
-        Ok(req)
+impl Wire for bool {
+    fn put(v: &bool, out: &mut Vec<u8>) -> Result<(), ProtoError> {
+        out.push(u8::from(*v));
+        Ok(())
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<bool, ProtoError> {
+        Ok(u8::get(c)? != 0)
     }
 }
 
-impl Response {
-    /// Encode to a frame payload.
-    pub fn encode(&self) -> Result<Vec<u8>, ProtoError> {
-        let mut out = Vec::new();
-        match self {
-            Response::Loaded { matrix_id, fingerprint_hi, fingerprint_lo, nnz } => {
-                out.push(RESP_LOADED);
-                out.extend_from_slice(&matrix_id.to_le_bytes());
-                out.extend_from_slice(&fingerprint_hi.to_le_bytes());
-                out.extend_from_slice(&fingerprint_lo.to_le_bytes());
-                out.extend_from_slice(&nnz.to_le_bytes());
+impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
+    fn put(v: &(A, B, C), out: &mut Vec<u8>) -> Result<(), ProtoError> {
+        A::put(&v.0, out)?;
+        B::put(&v.1, out)?;
+        C::put(&v.2, out)
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<(A, B, C), ProtoError> {
+        Ok((A::get(c)?, B::get(c)?, C::get(c)?))
+    }
+}
+
+/// The form of a string or list behind a length of integer type `N`:
+/// `N` little-endian, then that many UTF-8 bytes or encoded items.
+pub struct Counted<N>(PhantomData<N>);
+
+impl<N: Wire + TryFrom<usize> + TryInto<usize>> Counted<N> {
+    fn put_len(len: usize, out: &mut Vec<u8>) -> Result<(), ProtoError> {
+        let n = N::try_from(len).map_err(|_| {
+            ProtoError(format!("length {len} overflows its {} prefix", std::any::type_name::<N>()))
+        })?;
+        N::put(&n, out)
+    }
+
+    fn get_len(c: &mut Cursor<'_>) -> Result<usize, ProtoError> {
+        N::get(c)?.try_into().map_err(|_| ProtoError("length prefix overflows usize".into()))
+    }
+}
+
+impl<N: Wire + TryFrom<usize> + TryInto<usize>> Wire<String> for Counted<N> {
+    fn put(v: &String, out: &mut Vec<u8>) -> Result<(), ProtoError> {
+        Self::put_len(v.len(), out)?;
+        out.extend_from_slice(v.as_bytes());
+        Ok(())
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<String, ProtoError> {
+        let len = Self::get_len(c)?;
+        String::from_utf8(c.take(len)?.to_vec())
+            .map_err(|_| ProtoError("invalid UTF-8 string".into()))
+    }
+}
+
+impl<N: Wire + TryFrom<usize> + TryInto<usize>, T: Wire> Wire<Vec<T>> for Counted<N> {
+    fn put(v: &Vec<T>, out: &mut Vec<u8>) -> Result<(), ProtoError> {
+        Self::put_len(v.len(), out)?;
+        v.iter().try_for_each(|item| T::put(item, out))
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<Vec<T>, ProtoError> {
+        let n = Self::get_len(c)?;
+        let mut items = c.list(n);
+        for _ in 0..n {
+            items.push(T::get(c)?);
+        }
+        Ok(items)
+    }
+}
+
+impl Wire for String {
+    fn put(v: &String, out: &mut Vec<u8>) -> Result<(), ProtoError> {
+        Counted::<u16>::put(v, out)
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<String, ProtoError> {
+        Counted::<u16>::get(c)
+    }
+}
+
+/// COO entries `(row, col, value)` — the one matrix body [`Request::Load`]
+/// and [`Response::Export`] share, behind a `u64` count.
+pub type CooEntries = Vec<(u32, u32, f32)>;
+
+impl Wire for CooEntries {
+    fn put(v: &CooEntries, out: &mut Vec<u8>) -> Result<(), ProtoError> {
+        Counted::<u64>::put(v, out)
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<CooEntries, ProtoError> {
+        Counted::<u64>::get(c)
+    }
+}
+
+/// `u32 rows ‖ u32 cols ‖ rows·cols f32`, row-major. The values move as
+/// one little-endian slab: a bulk fill on encode, one pass straight into
+/// the matrix's own buffer on decode.
+impl Wire for DenseMatrix<f32> {
+    fn put(m: &DenseMatrix<f32>, out: &mut Vec<u8>) -> Result<(), ProtoError> {
+        for dim in [m.rows(), m.cols()] {
+            let dim = u32::try_from(dim)
+                .map_err(|_| ProtoError(format!("matrix dimension {dim} does not fit u32")))?;
+            u32::put(&dim, out)?;
+        }
+        let start = out.len();
+        out.resize(start + 4 * m.len(), 0);
+        for (slot, v) in out[start..].chunks_exact_mut(4).zip(m.as_slice()) {
+            slot.copy_from_slice(&v.to_le_bytes());
+        }
+        Ok(())
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<DenseMatrix<f32>, ProtoError> {
+        let (rows, cols) = (u32::get(c)? as usize, u32::get(c)? as usize);
+        let bytes = rows
+            .checked_mul(cols)
+            .and_then(|n| n.checked_mul(4))
+            .ok_or_else(|| ProtoError(format!("matrix {rows}x{cols} overflows usize")))?;
+        let values =
+            c.take(bytes)?.chunks_exact(4).map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]));
+        DenseMatrix::try_from_vec(rows, cols, values.collect())
+            .ok_or_else(|| ProtoError(format!("matrix {rows}x{cols} disagrees with its slab")))
+    }
+}
+
+// --- messages ---
+
+/// The form a field is encoded in: its own type, unless the declaration
+/// names one with `as`.
+macro_rules! form {
+    ($ty:ty) => {
+        $ty
+    };
+    ($ty:ty, $form:ty) => {
+        $form
+    };
+}
+
+/// Declare a struct whose fields, in declaration order, are its layout.
+macro_rules! wire_struct {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $($(#[$fmeta:meta])* pub $field:ident : $ty:ty $(as $form:ty)?),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        pub struct $name {
+            $($(#[$fmeta])* pub $field: $ty),*
+        }
+
+        impl Wire for $name {
+            fn put(v: &$name, out: &mut Vec<u8>) -> Result<(), ProtoError> {
+                let $name { $($field),* } = v;
+                $(<form!($ty $(, $form)?) as Wire<$ty>>::put($field, out)?;)*
+                Ok(())
             }
-            Response::Spmm {
-                cache_hit,
-                batch_size,
-                queue_micros,
-                service_micros,
-                fallback_level,
-                verified,
-                rows,
-                n,
-                out: data,
-            } => {
-                if data.len() != *rows as usize * *n as usize {
-                    return Err(ProtoError("output dims disagree with data length".into()));
-                }
-                out.push(RESP_SPMM);
-                out.push(u8::from(*cache_hit));
-                out.extend_from_slice(&batch_size.to_le_bytes());
-                out.extend_from_slice(&queue_micros.to_le_bytes());
-                out.extend_from_slice(&service_micros.to_le_bytes());
-                out.push(*fallback_level);
-                out.push(u8::from(*verified));
-                out.extend_from_slice(&rows.to_le_bytes());
-                out.extend_from_slice(&n.to_le_bytes());
-                put_f32s(&mut out, data);
-            }
-            Response::Metrics { json } => {
-                out.push(RESP_METRICS);
-                let len = u32::try_from(json.len())
-                    .map_err(|_| ProtoError("metrics document too large".into()))?;
-                out.extend_from_slice(&len.to_le_bytes());
-                out.extend_from_slice(json.as_bytes());
-            }
-            Response::Trace { prometheus, chrome } => {
-                out.push(RESP_TRACE);
-                for doc in [prometheus, chrome] {
-                    let len = u32::try_from(doc.len())
-                        .map_err(|_| ProtoError("trace document too large".into()))?;
-                    out.extend_from_slice(&len.to_le_bytes());
-                    out.extend_from_slice(doc.as_bytes());
-                }
-            }
-            Response::Pong => out.push(RESP_PONG),
-            Response::ShutdownAck => out.push(RESP_SHUTDOWN_ACK),
-            Response::ShardJoined { shard_index, shard_count, resident } => {
-                out.push(RESP_SHARD_JOINED);
-                out.extend_from_slice(&shard_index.to_le_bytes());
-                out.extend_from_slice(&shard_count.to_le_bytes());
-                let n = u32::try_from(resident.len())
-                    .map_err(|_| ProtoError("too many resident matrices".into()))?;
-                out.extend_from_slice(&n.to_le_bytes());
-                for (hi, lo, id) in resident {
-                    out.extend_from_slice(&hi.to_le_bytes());
-                    out.extend_from_slice(&lo.to_le_bytes());
-                    out.extend_from_slice(&id.to_le_bytes());
-                }
-            }
-            Response::ClusterSpmm {
-                rows,
-                n,
-                out: data,
-                degraded,
-                present,
-                shards_ok,
-                shards_failed,
-            } => {
-                if data.len() != *rows as usize * *n as usize {
-                    return Err(ProtoError("output dims disagree with data length".into()));
-                }
-                if *degraded && present.len() != (*rows as usize).div_ceil(8) {
-                    return Err(ProtoError("present bitmap length disagrees with rows".into()));
-                }
-                out.push(RESP_CLUSTER_SPMM);
-                out.extend_from_slice(&rows.to_le_bytes());
-                out.extend_from_slice(&n.to_le_bytes());
-                put_f32s(&mut out, data);
-                out.push(u8::from(*degraded));
-                let len = u32::try_from(present.len())
-                    .map_err(|_| ProtoError("present bitmap too large".into()))?;
-                out.extend_from_slice(&len.to_le_bytes());
-                out.extend_from_slice(present);
-                out.extend_from_slice(&shards_ok.to_le_bytes());
-                out.extend_from_slice(&shards_failed.to_le_bytes());
-            }
-            Response::Export { rows, cols, entries } => {
-                out.push(RESP_EXPORT);
-                out.extend_from_slice(&rows.to_le_bytes());
-                out.extend_from_slice(&cols.to_le_bytes());
-                let n = u64::try_from(entries.len())
-                    .map_err(|_| ProtoError("too many entries".into()))?;
-                out.extend_from_slice(&n.to_le_bytes());
-                for (r, c, v) in entries {
-                    out.extend_from_slice(&r.to_le_bytes());
-                    out.extend_from_slice(&c.to_le_bytes());
-                    out.extend_from_slice(&v.to_bits().to_le_bytes());
-                }
-            }
-            Response::Evicted { existed } => {
-                out.push(RESP_EVICTED);
-                out.push(u8::from(*existed));
-            }
-            Response::GnnRegistered { model_id, weight_bytes, layers } => {
-                out.push(RESP_GNN_REGISTERED);
-                out.extend_from_slice(&model_id.to_le_bytes());
-                out.extend_from_slice(&weight_bytes.to_le_bytes());
-                out.extend_from_slice(&layers.to_le_bytes());
-            }
-            Response::GnnInfer { rows, classes, scores, layer_micros, cache_hit } => {
-                if scores.len() != *rows as usize * *classes as usize {
-                    return Err(ProtoError("score dims disagree with data length".into()));
-                }
-                out.push(RESP_GNN_INFER);
-                out.extend_from_slice(&rows.to_le_bytes());
-                out.extend_from_slice(&classes.to_le_bytes());
-                put_f32s(&mut out, scores);
-                let n = u16::try_from(layer_micros.len())
-                    .map_err(|_| ProtoError("too many layer timings".into()))?;
-                out.extend_from_slice(&n.to_le_bytes());
-                for micros in layer_micros {
-                    out.extend_from_slice(&micros.to_le_bytes());
-                }
-                out.push(u8::from(*cache_hit));
-            }
-            Response::Error { code, message } => {
-                out.push(RESP_ERROR);
-                out.push(code.to_byte());
-                put_string(&mut out, message)?;
+            fn get(c: &mut Cursor<'_>) -> Result<$name, ProtoError> {
+                Ok($name { $($field: <form!($ty $(, $form)?) as Wire<$ty>>::get(c)?),* })
             }
         }
-        Ok(out)
-    }
+    };
+}
 
-    /// Decode a frame payload.
-    pub fn decode(payload: &[u8]) -> Result<Response, ProtoError> {
-        let mut c = Cursor::new(payload);
-        let resp = match c.u8()? {
-            RESP_LOADED => Response::Loaded {
-                matrix_id: c.u64()?,
-                fingerprint_hi: c.u64()?,
-                fingerprint_lo: c.u64()?,
-                nnz: c.u64()?,
-            },
-            RESP_SPMM => {
-                let cache_hit = c.u8()? != 0;
-                let batch_size = c.u32()?;
-                let queue_micros = c.u64()?;
-                let service_micros = c.u64()?;
-                let fallback_level = c.u8()?;
-                let verified = c.u8()? != 0;
-                let rows = c.u32()?;
-                let n = c.u32()?;
-                let out = c.f32_vec(rows as usize * n as usize)?;
-                Response::Spmm {
-                    cache_hit,
-                    batch_size,
-                    queue_micros,
-                    service_micros,
-                    fallback_level,
-                    verified,
-                    rows,
-                    n,
-                    out,
+/// Declare an enum whose layout is `u8 tag ‖ the variant's fields in
+/// declaration order`: `Variant = tag => Reply { field: Type as Form }`.
+/// `=> Reply` names the response variant a request draws (documented on
+/// the variant, read by `fs-analyze`); `as Form` is only needed where
+/// the type alone does not fix the layout. `$what` names the tag in the
+/// unknown-tag error.
+macro_rules! wire_enum {
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident: $what:literal {
+            $(
+                $(#[$vmeta:meta])*
+                $variant:ident = $tag:literal $(=> $reply:ident)? $({
+                    $($(#[$fmeta:meta])* $field:ident : $ty:ty $(as $form:ty)?),* $(,)?
+                })?
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        pub enum $name {
+            $(
+                $(#[$vmeta])*
+                $(#[doc = concat!("\n\nAnswered by [`Response::", stringify!($reply), "`].")])?
+                $variant $({ $($(#[$fmeta])* $field: $ty),* })?
+            ),*
+        }
+
+        impl Wire for $name {
+            fn put(v: &$name, out: &mut Vec<u8>) -> Result<(), ProtoError> {
+                match v {
+                    $($name::$variant $({ $($field),* })? => {
+                        out.push($tag);
+                        $($(<form!($ty $(, $form)?) as Wire<$ty>>::put($field, out)?;)*)?
+                    })*
+                }
+                Ok(())
+            }
+            fn get(c: &mut Cursor<'_>) -> Result<$name, ProtoError> {
+                match u8::get(c)? {
+                    $($tag => Ok($name::$variant $({
+                        $($field: <form!($ty $(, $form)?) as Wire<$ty>>::get(c)?),*
+                    })?),)*
+                    tag => Err(ProtoError(format!(concat!("unknown ", $what, " {}"), tag))),
                 }
             }
-            RESP_METRICS => {
-                let len = c.u32()? as usize;
-                let bytes = c.take(len)?;
-                let json = String::from_utf8(bytes.to_vec())
-                    .map_err(|_| ProtoError("metrics not UTF-8".into()))?;
-                Response::Metrics { json }
+        }
+    };
+}
+
+/// Give a message enum its frame-level entry points. `$check`, when
+/// given, validates what the field types cannot before anything is
+/// encoded.
+macro_rules! framed_message {
+    ($name:ident $(, $check:path)?) => {
+        impl $name {
+            fn encode_behind(&self, header: usize) -> Result<Vec<u8>, ProtoError> {
+                $($check(self)?;)?
+                let mut out = vec![0; header];
+                $name::put(self, &mut out)?;
+                Ok(out)
             }
-            RESP_TRACE => {
-                let mut docs = Vec::with_capacity(2);
-                for _ in 0..2 {
-                    let len = c.u32()? as usize;
-                    let bytes = c.take(len)?;
-                    docs.push(
-                        String::from_utf8(bytes.to_vec())
-                            .map_err(|_| ProtoError("trace document not UTF-8".into()))?,
-                    );
-                }
-                let chrome = docs.pop().unwrap_or_default();
-                let prometheus = docs.pop().unwrap_or_default();
-                Response::Trace { prometheus, chrome }
+
+            /// Encode to a frame payload.
+            pub fn encode(&self) -> Result<Vec<u8>, ProtoError> {
+                self.encode_behind(0)
             }
-            RESP_PONG => Response::Pong,
-            RESP_SHUTDOWN_ACK => Response::ShutdownAck,
-            RESP_SHARD_JOINED => {
-                let shard_index = c.u32()?;
-                let shard_count = c.u32()?;
-                let n = c.u32()? as usize;
-                let mut resident = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    resident.push((c.u64()?, c.u64()?, c.u64()?));
-                }
-                Response::ShardJoined { shard_index, shard_count, resident }
+
+            /// Encode as one complete frame, ready for [`write_frame`]:
+            /// the payload is written once, behind a reserved header that
+            /// is then patched with its length and checksum.
+            pub fn frame(&self) -> Result<Vec<u8>, ProtoError> {
+                let mut frame = self.encode_behind(FRAME_HEADER_BYTES)?;
+                seal_frame(&mut frame).map_err(|e| ProtoError(e.to_string()))?;
+                Ok(frame)
             }
-            RESP_CLUSTER_SPMM => {
-                let rows = c.u32()?;
-                let n = c.u32()?;
-                let out = c.f32_vec(rows as usize * n as usize)?;
-                let degraded = c.u8()? != 0;
-                let len = c.u32()? as usize;
-                let present = c.take(len)?.to_vec();
-                let shards_ok = c.u32()?;
-                let shards_failed = c.u32()?;
-                Response::ClusterSpmm { rows, n, out, degraded, present, shards_ok, shards_failed }
+
+            /// Decode a frame payload.
+            pub fn decode(payload: &[u8]) -> Result<$name, ProtoError> {
+                let mut c = Cursor::new(payload);
+                let message = $name::get(&mut c)?;
+                c.done()?;
+                Ok(message)
             }
-            RESP_EXPORT => {
-                let rows = c.u32()?;
-                let cols = c.u32()?;
-                let n = c.u64()? as usize;
-                let mut entries = Vec::with_capacity(n.min(1 << 20));
-                for _ in 0..n {
-                    entries.push((c.u32()?, c.u32()?, c.f32()?));
-                }
-                Response::Export { rows, cols, entries }
-            }
-            RESP_EVICTED => Response::Evicted { existed: c.u8()? != 0 },
-            RESP_GNN_REGISTERED => Response::GnnRegistered {
-                model_id: c.u64()?,
-                weight_bytes: c.u64()?,
-                layers: c.u32()?,
-            },
-            RESP_GNN_INFER => {
-                let rows = c.u32()?;
-                let classes = c.u32()?;
-                let scores = c.f32_vec(rows as usize * classes as usize)?;
-                let n = c.u16()? as usize;
-                let mut layer_micros = Vec::with_capacity(n);
-                for _ in 0..n {
-                    layer_micros.push(c.u64()?);
-                }
-                let cache_hit = c.u8()? != 0;
-                Response::GnnInfer { rows, classes, scores, layer_micros, cache_hit }
-            }
-            RESP_ERROR => {
-                let code = ErrorCode::from_byte(c.u8()?)
-                    .ok_or_else(|| ProtoError("unknown error code".into()))?;
-                Response::Error { code, message: c.string()? }
-            }
-            tag => return Err(ProtoError(format!("unknown response tag {tag}"))),
-        };
-        c.done()?;
-        Ok(resp)
+        }
+    };
+}
+
+wire_struct! {
+    /// What an SpMM needs, whether it is asked of a shard
+    /// ([`Request::Spmm`]) or of a router ([`Request::ClusterSpmm`]).
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct SpmmCall {
+        /// Tenant the work is accounted to.
+        pub tenant: String,
+        /// Handle from [`Response::Loaded`].
+        pub matrix_id: u64,
+        /// Deadline in milliseconds (0 = the server's or router's
+        /// default); at a router also the per-shard wait bound during
+        /// scatter.
+        pub deadline_ms: u32,
+        /// Dense operand; its row count must equal the matrix's column
+        /// count.
+        pub b: DenseMatrix<f32>,
     }
 }
+
+wire_enum! {
+    /// Client → server messages.
+    #[derive(Clone, Debug, PartialEq)]
+    pub enum Request: "request tag" {
+        /// Register a COO matrix.
+        Load = 1 => Loaded {
+            /// Tenant the matrix (and later work) is accounted to.
+            tenant: String,
+            /// Matrix rows.
+            rows: u32,
+            /// Matrix columns.
+            cols: u32,
+            /// COO entries `(row, col, value)`.
+            entries: CooEntries,
+        },
+        /// SpMM against a registered matrix.
+        Spmm = 2 => Spmm {
+            /// The call's arguments.
+            call: SpmmCall,
+        },
+        /// Fetch the metrics JSON document.
+        Metrics = 3 => Metrics,
+        /// Liveness probe.
+        Ping = 4 => Pong,
+        /// Ask the server to drain and exit.
+        Shutdown = 5 => ShutdownAck,
+        /// Fetch the trace exports (Prometheus text + chrome trace JSON) —
+        /// the metrics path's tracing extension. Empty dumps when the
+        /// server runs with tracing disarmed.
+        Trace = 6 => Trace,
+        /// Announce a shard to a router: the shard's listen address and its
+        /// `start_epoch` (from the metrics document), so the router can tell
+        /// a restarted shard from the one it registered slabs on. Plain
+        /// `fs-serve` shards answer with their resident fingerprints (an
+        /// anti-entropy inventory the router checks against its manifest);
+        /// routers answer with the shard's ring position.
+        ShardJoin = 7 => ShardJoined {
+            /// The shard's listen address (`host:port`).
+            addr: String,
+            /// The shard's start epoch (milliseconds since the Unix epoch at
+            /// bind time; strictly increases across restarts).
+            start_epoch: u64,
+        },
+        /// SpMM against a row-partitioned matrix: the router scatters the
+        /// dense operand to every shard holding a slab and gathers the row
+        /// slabs back. Plain shards reject this with
+        /// [`ErrorCode::BadRequest`].
+        ClusterSpmm = 8 => ClusterSpmm {
+            /// The call's arguments (`matrix_id` is router-issued).
+            call: SpmmCall,
+        },
+        /// Export a registered matrix as COO entries — the repair path's
+        /// source copy when re-replicating a slab from a surviving holder.
+        Export = 9 => Export {
+            /// Tenant the matrix was registered under.
+            tenant: String,
+            /// Handle from [`Response::Loaded`].
+            matrix_id: u64,
+        },
+        /// Evict a registered matrix (anti-entropy: a rejoining shard drops
+        /// slabs the manifest no longer assigns to it).
+        Evict = 10 => Evicted {
+            /// Tenant the matrix was registered under.
+            tenant: String,
+            /// Handle from [`Response::Loaded`].
+            matrix_id: u64,
+        },
+        /// Register trained GNN weights against an already-loaded graph.
+        /// The graph (for GCN: the normalized adjacency; for AGNN: the
+        /// normalized adjacency doubling as the attention mask) must have
+        /// been registered with [`Request::Load`] first.
+        GnnRegister = 11 => GnnRegistered {
+            /// Tenant the model is accounted to.
+            tenant: String,
+            /// Graph handle from [`Response::Loaded`].
+            matrix_id: u64,
+            /// Model kind: 0 = GCN, 1 = AGNN.
+            kind: u8,
+            /// Dense weight matrices in forward order: per-layer `W` for
+            /// GCN; `[w_in, w_out]` for AGNN.
+            weights: Vec<DenseMatrix<f32>> as Counted<u16>,
+            /// Trained scalars: empty for GCN; per-attention-layer β for
+            /// AGNN (the count sets the number of attention layers).
+            scalars: Vec<f32> as Counted<u16>,
+        },
+        /// Run a full multi-layer forward pass server-side. Aggregation
+        /// always spans the full registered graph; `node_ids` only selects
+        /// which rows of the logits come back (mini-batch scoring).
+        GnnInfer = 12 => GnnInfer {
+            /// Tenant the work is accounted to.
+            tenant: String,
+            /// Model handle from [`Response::GnnRegistered`].
+            model_id: u64,
+            /// Kernel precision: 0 = FP32 (CUDA-core reference),
+            /// 1 = TF32 (FlashSparse `m16n8k4`), 2 = FP16 (FlashSparse
+            /// `m16n8k8`) — Table 8's accuracy/latency knob, per request.
+            precision: u8,
+            /// Deadline in milliseconds (0 = server default).
+            deadline_ms: u32,
+            /// Node ids whose scores to return; empty = all nodes.
+            node_ids: Vec<u32> as Counted<u32>,
+            /// Node features: rows must equal the graph's node count,
+            /// columns the model's input dim.
+            features: DenseMatrix<f32>,
+        },
+    }
+}
+
+wire_enum! {
+    /// Server → client messages.
+    #[derive(Clone, Debug, PartialEq)]
+    pub enum Response: "response tag" {
+        /// A matrix was registered.
+        Loaded = 128 {
+            /// Handle for subsequent [`Request::Spmm`]s.
+            matrix_id: u64,
+            /// High 64 bits of the content fingerprint.
+            fingerprint_hi: u64,
+            /// Low 64 bits of the content fingerprint.
+            fingerprint_lo: u64,
+            /// Nonzeros after deduplication.
+            nnz: u64,
+        },
+        /// An SpMM completed.
+        Spmm = 129 {
+            /// Whether the translated format came from the cache.
+            cache_hit: bool,
+            /// Micro-batch size this request rode in.
+            batch_size: u32,
+            /// Microseconds queued.
+            queue_micros: u64,
+            /// Microseconds of execution.
+            service_micros: u64,
+            /// Which fallback-ladder rung produced the output
+            /// (`flashsparse::FallbackLevel` wire encoding: 0 = tuned,
+            /// 1 = default variant, 2 = scalar reference).
+            fallback_level: u8,
+            /// Whether the output passed server-side verification (scalar
+            /// outputs report `true`: they *are* the reference).
+            verified: bool,
+            /// The product.
+            out: DenseMatrix<f32>,
+        },
+        /// The metrics document.
+        Metrics = 130 {
+            /// JSON text.
+            json: String as Counted<u32>,
+        },
+        /// Ping reply.
+        Pong = 131,
+        /// Shutdown acknowledged; the server drains after sending this.
+        ShutdownAck = 132,
+        /// The trace exports.
+        Trace = 133 {
+            /// Prometheus text exposition dump.
+            prometheus: String as Counted<u32>,
+            /// chrome://tracing `trace_events` JSON document.
+            chrome: String as Counted<u32>,
+        },
+        /// A shard was registered with the router — or, when sent by a plain
+        /// shard, the shard's residency inventory.
+        ShardJoined = 134 {
+            /// The shard's position in the router's ring (0 from a plain
+            /// shard answering with its inventory).
+            shard_index: u32,
+            /// Total shards the router now knows (1 from a plain shard).
+            shard_count: u32,
+            /// Already-resident matrices as `(fingerprint_hi,
+            /// fingerprint_lo, matrix_id)` triples, ascending by id. A
+            /// router's reply leaves this empty; a shard's reply is the
+            /// anti-entropy inventory the router reconciles on rejoin.
+            resident: Vec<(u64, u64, u64)> as Counted<u32>,
+        },
+        /// A scatter-gather SpMM completed (possibly degraded).
+        ClusterSpmm = 135 {
+            /// The product, with the full matrix's row count even when
+            /// degraded; rows whose slab was lost are zero-filled and
+            /// cleared in `present`.
+            out: DenseMatrix<f32>,
+            /// Whether any slab was lost (some rows are missing).
+            degraded: bool,
+            /// Present-rows bitmap, `ceil(rows / 8)` bytes, row `r` present
+            /// iff bit `r % 8` of byte `r / 8` is set. Empty when not
+            /// degraded (all rows present).
+            present: Vec<u8> as Counted<u32>,
+            /// Shards that returned their slab.
+            shards_ok: u32,
+            /// Shards (counting replica retries) that failed or timed out.
+            shards_failed: u32,
+        },
+        /// A registered matrix's COO entries.
+        Export = 136 {
+            /// Matrix rows.
+            rows: u32,
+            /// Matrix columns.
+            cols: u32,
+            /// COO entries `(row, col, value)` in CSR iteration order.
+            entries: CooEntries,
+        },
+        /// An eviction completed.
+        Evicted = 137 {
+            /// Whether the matrix existed (and was dropped).
+            existed: bool,
+        },
+        /// A GNN model was registered.
+        GnnRegistered = 138 {
+            /// Handle for subsequent [`Request::GnnInfer`]s.
+            model_id: u64,
+            /// Resident parameter bytes charged to the registry budget.
+            weight_bytes: u64,
+            /// Timed layers a forward pass of this model reports.
+            layers: u32,
+        },
+        /// A GNN inference completed.
+        GnnInfer = 139 {
+            /// Logits, one row per requested node (all nodes when none
+            /// were named) in `node_ids` order, one column per class.
+            scores: DenseMatrix<f32>,
+            /// Per-layer execution microseconds, forward order. Zeros on an
+            /// embedding-cache hit (no layers ran).
+            layer_micros: Vec<u64> as Counted<u16>,
+            /// Whether the logits came from the embedding cache.
+            cache_hit: bool,
+        },
+        /// The request failed.
+        Error = 255 {
+            /// Machine-readable reason.
+            code: ErrorCode,
+            /// Human-readable detail.
+            message: String,
+        },
+    }
+}
+
+wire_enum! {
+    /// Why a request failed.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub enum ErrorCode: "error code" {
+        /// Admission control refused: the queue is full.
+        QueueFull = 1,
+        /// The request's deadline passed before execution.
+        DeadlineExceeded = 2,
+        /// A server-side failure (worker panic, internal error).
+        Internal = 3,
+        /// The request was malformed.
+        BadRequest = 4,
+        /// No matrix with that id.
+        UnknownMatrix = 5,
+        /// A server-side resource budget (registered-matrix count or bytes)
+        /// is exhausted.
+        ResourceExhausted = 6,
+    }
+}
+
+/// The one thing about a response its field types cannot say: a degraded
+/// [`Response::ClusterSpmm`] carries one bitmap bit per output row.
+fn check_present_bitmap(response: &Response) -> Result<(), ProtoError> {
+    match response {
+        Response::ClusterSpmm { out, degraded: true, present, .. }
+            if present.len() != out.rows().div_ceil(8) =>
+        {
+            Err(ProtoError("present bitmap length disagrees with rows".into()))
+        }
+        _ => Ok(()),
+    }
+}
+
+framed_message!(Request);
+framed_message!(Response, check_present_bitmap);
 
 #[cfg(test)]
 mod tests {
@@ -1017,6 +761,14 @@ mod tests {
         assert_eq!(Response::decode(&bytes).expect("decode"), r);
     }
 
+    fn dense(rows: usize, cols: usize, values: &[f32]) -> DenseMatrix<f32> {
+        DenseMatrix::from_f32_slice(rows, cols, values)
+    }
+
+    fn call(matrix_id: u64, deadline_ms: u32, b: DenseMatrix<f32>) -> SpmmCall {
+        SpmmCall { tenant: "t".into(), matrix_id, deadline_ms, b }
+    }
+
     #[test]
     fn request_roundtrips() {
         roundtrip_req(Request::Load {
@@ -1026,12 +778,7 @@ mod tests {
             entries: vec![(0, 1, 2.5), (15, 7, -0.125)],
         });
         roundtrip_req(Request::Spmm {
-            tenant: "t".into(),
-            matrix_id: 42,
-            deadline_ms: 250,
-            b_rows: 2,
-            n: 3,
-            b: vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+            call: call(42, 250, dense(2, 3, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0])),
         });
         roundtrip_req(Request::Metrics);
         roundtrip_req(Request::Trace);
@@ -1039,15 +786,20 @@ mod tests {
         roundtrip_req(Request::Shutdown);
         roundtrip_req(Request::ShardJoin { addr: "127.0.0.1:7950".into(), start_epoch: 1_699 });
         roundtrip_req(Request::ClusterSpmm {
-            tenant: "t".into(),
-            matrix_id: 11,
-            deadline_ms: 500,
-            b_rows: 2,
-            n: 2,
-            b: vec![1.0, 0.0, -2.5, 4.0],
+            call: call(11, 500, dense(2, 2, &[1.0, 0.0, -2.5, 4.0])),
         });
         roundtrip_req(Request::Export { tenant: "t".into(), matrix_id: 3 });
         roundtrip_req(Request::Evict { tenant: "t".into(), matrix_id: 4 });
+    }
+
+    /// `ClusterSpmm` is `Spmm` under another opcode: one field list.
+    #[test]
+    fn spmm_and_cluster_spmm_share_one_body() {
+        let c = call(7, 9, dense(1, 2, &[0.5, -0.5]));
+        let shard = Request::Spmm { call: c.clone() }.encode().expect("encode");
+        let router = Request::ClusterSpmm { call: c }.encode().expect("encode");
+        assert_eq!((shard[0], router[0]), (2, 8));
+        assert_eq!(shard[1..], router[1..]);
     }
 
     #[test]
@@ -1056,14 +808,14 @@ mod tests {
             tenant: "t".into(),
             matrix_id: 5,
             kind: 0,
-            weights: vec![(2, 3, vec![0.5; 6]), (3, 2, vec![-1.25; 6])],
+            weights: vec![dense(2, 3, &[0.5; 6]), dense(3, 2, &[-1.25; 6])],
             scalars: vec![],
         });
         roundtrip_req(Request::GnnRegister {
             tenant: "t".into(),
             matrix_id: 6,
             kind: 1,
-            weights: vec![(4, 8, vec![0.125; 32]), (8, 2, vec![2.0; 16])],
+            weights: vec![dense(4, 8, &[0.125; 32]), dense(8, 2, &[2.0; 16])],
             scalars: vec![1.0, 0.75],
         });
         roundtrip_req(Request::GnnInfer {
@@ -1072,9 +824,7 @@ mod tests {
             precision: 2,
             deadline_ms: 500,
             node_ids: vec![0, 3, 7],
-            f_rows: 2,
-            f_cols: 2,
-            features: vec![1.0, 0.0, -0.5, 4.0],
+            features: dense(2, 2, &[1.0, 0.0, -0.5, 4.0]),
         });
         roundtrip_req(Request::GnnInfer {
             tenant: "t".into(),
@@ -1082,9 +832,7 @@ mod tests {
             precision: 0,
             deadline_ms: 0,
             node_ids: vec![],
-            f_rows: 1,
-            f_cols: 3,
-            features: vec![0.0, f32::MAX, -1.0],
+            features: dense(1, 3, &[0.0, f32::MAX, -1.0]),
         });
     }
 
@@ -1092,49 +840,50 @@ mod tests {
     fn gnn_responses_roundtrip() {
         roundtrip_resp(Response::GnnRegistered { model_id: 1, weight_bytes: 4096, layers: 3 });
         roundtrip_resp(Response::GnnInfer {
-            rows: 2,
-            classes: 2,
-            scores: vec![0.5, -0.5, 1.0, 0.0],
+            scores: dense(2, 2, &[0.5, -0.5, 1.0, 0.0]),
             layer_micros: vec![10, 20, 30],
             cache_hit: false,
         });
         roundtrip_resp(Response::GnnInfer {
-            rows: 0,
-            classes: 4,
-            scores: vec![],
+            scores: dense(0, 4, &[]),
             layer_micros: vec![],
             cache_hit: true,
         });
     }
 
+    /// A matrix whose dims disagree with its data cannot be built any
+    /// more; what encode still has to refuse is a dimension (or a list)
+    /// its prefix cannot carry — an error, never a wrapped count.
     #[test]
     fn gnn_dims_are_validated_at_encode() {
+        let wide = DenseMatrix::try_from_vec(0, u32::MAX as usize + 1, Vec::new()).expect("empty");
         let bad_weights = Request::GnnRegister {
             tenant: "t".into(),
             matrix_id: 1,
             kind: 0,
-            weights: vec![(2, 3, vec![0.0; 5])],
+            weights: vec![wide.clone()],
             scalars: vec![],
         };
         assert!(bad_weights.encode().is_err());
+        let too_many = Request::GnnRegister {
+            tenant: "t".into(),
+            matrix_id: 1,
+            kind: 0,
+            weights: vec![],
+            scalars: vec![0.0; u16::MAX as usize + 1],
+        };
+        assert!(too_many.encode().is_err());
         let bad_features = Request::GnnInfer {
             tenant: "t".into(),
             model_id: 1,
             precision: 0,
             deadline_ms: 0,
             node_ids: vec![],
-            f_rows: 2,
-            f_cols: 2,
-            features: vec![0.0; 3],
+            features: wide.clone(),
         };
         assert!(bad_features.encode().is_err());
-        let bad_scores = Response::GnnInfer {
-            rows: 2,
-            classes: 2,
-            scores: vec![0.0; 3],
-            layer_micros: vec![],
-            cache_hit: false,
-        };
+        let bad_scores =
+            Response::GnnInfer { scores: wide, layer_micros: vec![], cache_hit: false };
         assert!(bad_scores.encode().is_err());
     }
 
@@ -1142,17 +891,17 @@ mod tests {
     /// past `u32` must fail cleanly in the cursor, not wrap or OOM.
     #[test]
     fn adversarial_gnn_lengths_error_cleanly() {
-        let mut payload = vec![REQ_GNN_INFER];
+        let mut payload = vec![12]; // GnnInfer
         payload.extend_from_slice(&0u16.to_le_bytes()); // empty tenant
         payload.extend_from_slice(&1u64.to_le_bytes()); // model_id
         payload.push(0); // precision
         payload.extend_from_slice(&0u32.to_le_bytes()); // deadline_ms
         payload.extend_from_slice(&0u32.to_le_bytes()); // node_ids count
-        payload.extend_from_slice(&0x7FFF_FFFFu32.to_le_bytes()); // f_rows
-        payload.extend_from_slice(&0x8000_0001u32.to_le_bytes()); // f_cols
+        payload.extend_from_slice(&0x7FFF_FFFFu32.to_le_bytes()); // feature rows
+        payload.extend_from_slice(&0x8000_0001u32.to_le_bytes()); // feature cols
         assert!(Request::decode(&payload).is_err());
         // A weight matrix with adversarial dims inside GnnRegister.
-        let mut payload = vec![REQ_GNN_REGISTER];
+        let mut payload = vec![11]; // GnnRegister
         payload.extend_from_slice(&0u16.to_le_bytes()); // empty tenant
         payload.extend_from_slice(&1u64.to_le_bytes()); // matrix_id
         payload.push(0); // kind
@@ -1179,18 +928,14 @@ mod tests {
         roundtrip_resp(Response::Evicted { existed: true });
         roundtrip_resp(Response::Evicted { existed: false });
         roundtrip_resp(Response::ClusterSpmm {
-            rows: 3,
-            n: 2,
-            out: vec![1.0; 6],
+            out: dense(3, 2, &[1.0; 6]),
             degraded: false,
             present: vec![],
             shards_ok: 3,
             shards_failed: 0,
         });
         roundtrip_resp(Response::ClusterSpmm {
-            rows: 9,
-            n: 1,
-            out: vec![0.5; 9],
+            out: dense(9, 1, &[0.5; 9]),
             degraded: true,
             present: vec![0b0000_0111, 0b0000_0001],
             shards_ok: 2,
@@ -1201,15 +946,14 @@ mod tests {
     #[test]
     fn degraded_bitmap_length_is_validated_at_encode() {
         let bad = Response::ClusterSpmm {
-            rows: 9,
-            n: 1,
-            out: vec![0.0; 9],
+            out: dense(9, 1, &[0.0; 9]),
             degraded: true,
             present: vec![0xFF], // 9 rows need 2 bytes
             shards_ok: 2,
             shards_failed: 1,
         };
         assert!(bad.encode().is_err());
+        assert!(bad.frame().is_err());
     }
 
     #[test]
@@ -1236,9 +980,7 @@ mod tests {
             service_micros: 20,
             fallback_level: 1,
             verified: true,
-            rows: 2,
-            n: 2,
-            out: vec![0.0, -1.5, f32::MAX, 3.25],
+            out: dense(2, 2, &[0.0, -1.5, f32::MAX, 3.25]),
         });
         roundtrip_resp(Response::Metrics { json: "{\"ok\":true}".into() });
         roundtrip_resp(Response::Pong);
@@ -1253,12 +995,31 @@ mod tests {
     #[test]
     fn framing_roundtrips_and_eof_is_clean() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, b"hello").expect("write");
-        write_frame(&mut buf, b"").expect("write");
+        write_frame(&mut buf, &frame_bytes(b"hello").expect("frame")).expect("write");
+        write_frame(&mut buf, &frame_bytes(b"").expect("frame")).expect("write");
+        write_frame(&mut buf, &Request::Ping.frame().expect("frame")).expect("write");
         let mut r = &buf[..];
         assert_eq!(read_frame(&mut r).expect("read").as_deref(), Some(&b"hello"[..]));
         assert_eq!(read_frame(&mut r).expect("read").as_deref(), Some(&b""[..]));
+        assert_eq!(read_frame(&mut r).expect("read"), Some(Request::Ping.encode().expect("ping")));
         assert_eq!(read_frame(&mut r).expect("read"), None);
+    }
+
+    /// The header patched in behind an encoded message is the header
+    /// `frame_bytes` computes over the finished payload.
+    #[test]
+    fn frame_is_the_payload_behind_its_patched_header() {
+        let resp = Response::Spmm {
+            cache_hit: false,
+            batch_size: 1,
+            queue_micros: 3,
+            service_micros: 4,
+            fallback_level: 0,
+            verified: false,
+            out: dense(2, 2, &[1.0, -0.0, f32::NAN, 4.0]),
+        };
+        let payload = resp.encode().expect("encode");
+        assert_eq!(resp.frame().expect("frame"), frame_bytes(&payload).expect("frame"));
     }
 
     #[test]
@@ -1272,17 +1033,9 @@ mod tests {
 
     #[test]
     fn corrupted_frame_byte_is_detected_anywhere() {
-        let payload = Request::Spmm {
-            tenant: "t".into(),
-            matrix_id: 9,
-            deadline_ms: 0,
-            b_rows: 2,
-            n: 2,
-            b: vec![1.0, 2.0, 3.0, 4.0],
-        }
-        .encode()
-        .expect("encode");
-        let clean = frame_bytes(&payload).expect("frame");
+        let request = Request::Spmm { call: call(9, 0, dense(2, 2, &[1.0, 2.0, 3.0, 4.0])) };
+        let payload = request.encode().expect("encode");
+        let clean = request.frame().expect("frame");
         // Flip one bit of every payload byte in turn: the checksum must
         // catch each one (the header's length bytes are covered by the
         // read-size checks; its checksum bytes by definition mismatch).
@@ -1325,15 +1078,15 @@ mod tests {
     /// (release) or panicking on the overflow / reversed range (debug).
     #[test]
     fn adversarial_spmm_lengths_error_cleanly() {
-        let mut payload = vec![REQ_SPMM];
+        let mut payload = vec![2]; // Spmm
         payload.extend_from_slice(&0u16.to_le_bytes()); // empty tenant
         payload.extend_from_slice(&1u64.to_le_bytes()); // matrix_id
         payload.extend_from_slice(&0u32.to_le_bytes()); // deadline_ms
-        payload.extend_from_slice(&0x7FFF_FFFFu32.to_le_bytes()); // b_rows
-        payload.extend_from_slice(&0x8000_0001u32.to_le_bytes()); // n
+        payload.extend_from_slice(&0x7FFF_FFFFu32.to_le_bytes()); // b rows
+        payload.extend_from_slice(&0x8000_0001u32.to_le_bytes()); // b cols
         assert!(Request::decode(&payload).is_err());
         // Same shape on the response side.
-        let mut resp = vec![RESP_SPMM, 1];
+        let mut resp = vec![129, 1]; // Spmm, cache_hit
         resp.extend_from_slice(&1u32.to_le_bytes()); // batch_size
         resp.extend_from_slice(&0u64.to_le_bytes()); // queue_micros
         resp.extend_from_slice(&0u64.to_le_bytes()); // service_micros
@@ -1344,16 +1097,14 @@ mod tests {
         assert!(Response::decode(&resp).is_err());
     }
 
+    /// The silent-truncation fix: a shape past `u32` used to be narrowed
+    /// with `as` (2^32 rows went out as 0); now it does not encode.
     #[test]
     fn spmm_dims_are_validated_at_encode() {
-        let bad = Request::Spmm {
-            tenant: "t".into(),
-            matrix_id: 1,
-            deadline_ms: 0,
-            b_rows: 2,
-            n: 2,
-            b: vec![1.0; 3],
-        };
-        assert!(bad.encode().is_err());
+        let tall = DenseMatrix::try_from_vec(u32::MAX as usize + 1, 0, Vec::new()).expect("empty");
+        let bad = Request::Spmm { call: call(1, 0, tall) };
+        let err = bad.encode().expect_err("2^32 rows must not wrap to 0");
+        assert!(err.0.contains("does not fit u32"), "{err}");
+        assert!(bad.frame().is_err());
     }
 }

@@ -1,5 +1,12 @@
-//! The TCP front end: accept loop, per-connection handler threads, and
-//! the request → engine → response translation.
+//! The TCP front end: the framed-connection [`Listener`] (accept loop,
+//! per-connection handler threads, drain) that both [`Server`] and the
+//! `fs-cluster` router run on, and the server's own request → engine →
+//! response translation.
+//!
+//! A payload is touched once each way: the decoded operand matrix is
+//! moved into the engine request, the engine's output matrix is moved
+//! into the response, and the response is encoded behind its own frame
+//! header ([`Response::frame`]) so the socket write sends those bytes.
 
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -10,12 +17,11 @@ use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 use fs_chaos::FaultSite;
 use fs_matrix::{CooMatrix, CsrMatrix, DenseMatrix};
-use parking_lot::Mutex;
 
 use crate::engine::{EngineConfig, ServeEngine, SpmmOutcome, SpmmRequest, SubmitError};
 use crate::gnn_infer::{GnnError, GnnInferRequest};
 use crate::protocol::{
-    frame_bytes, read_frame, write_frame, ErrorCode, Request, Response, FRAME_HEADER_BYTES,
+    read_frame, write_frame, ErrorCode, ProtoError, Request, Response, SpmmCall, FRAME_HEADER_BYTES,
 };
 use fs_gnn::GnnWeights;
 
@@ -49,25 +55,22 @@ impl Default for ServerConfig {
     }
 }
 
-/// A bound, running server. Accepts until a `Shutdown` message arrives.
-pub struct Server {
-    engine: Arc<ServeEngine>,
+/// A bound listener for the framed protocol: everything about serving
+/// connections that does not depend on what a request means.
+pub struct Listener {
     listener: TcpListener,
     addr: SocketAddr,
     start_epoch: u64,
-    max_load_dim: u32,
-    stop: Arc<AtomicBool>,
-    /// Each handler thread plus a second handle to its stream, kept so
-    /// `run` can shut the read half down at drain time — an idle peer
-    /// parked in `read_frame` would otherwise block the join forever.
-    conns: Arc<Mutex<Vec<(thread::JoinHandle<()>, TcpStream)>>>,
+    /// Whether data-plane responses consult the frame chaos sites. Only
+    /// [`Server`] turns this on, so a router's fault report draws no
+    /// frame sites.
+    frame_chaos: bool,
 }
 
-impl Server {
-    /// Bind the listener and start the engine. The accept loop runs on
-    /// the caller's thread via [`Server::run`].
-    pub fn bind(cfg: &ServerConfig) -> io::Result<Server> {
-        let listener = TcpListener::bind(&cfg.addr)?;
+impl Listener {
+    /// Bind `addr` (`127.0.0.1:0` picks an ephemeral port).
+    pub fn bind(addr: &str) -> io::Result<Listener> {
+        let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         // Wall-clock millis at bind: strictly increases across restarts
         // of the same shard, which is all a router needs to tell "the
@@ -77,15 +80,7 @@ impl Server {
             .duration_since(UNIX_EPOCH)
             .map(|d| d.as_millis().min(u128::from(u64::MAX)) as u64) // lint: checked-cast - clamped
             .unwrap_or(0);
-        Ok(Server {
-            engine: Arc::new(ServeEngine::start(cfg.engine)),
-            listener,
-            addr,
-            start_epoch,
-            max_load_dim: cfg.max_load_dim,
-            stop: Arc::new(AtomicBool::new(false)),
-            conns: Arc::new(Mutex::new(Vec::new())),
-        })
+        Ok(Listener { listener, addr, start_epoch, frame_chaos: false })
     }
 
     /// The bound address (useful with port 0).
@@ -99,65 +94,91 @@ impl Server {
         self.start_epoch
     }
 
-    /// The engine, for in-process use alongside the TCP front end.
-    pub fn engine(&self) -> &Arc<ServeEngine> {
-        &self.engine
-    }
-
-    /// Accept and serve connections until a `Shutdown` request arrives,
-    /// then drain the engine and join every connection thread.
-    pub fn run(self) -> io::Result<()> {
+    /// Accept connections, answering every request on each with
+    /// `handler` from a thread of its own (named `thread_name`), until a
+    /// `Shutdown` request arrives. Then `drain` runs — with no new
+    /// connection being accepted and the open ones still able to write —
+    /// and every connection thread is unblocked and joined.
+    pub fn run(
+        self,
+        thread_name: &str,
+        handler: impl Fn(Request) -> Response + Send + Sync + 'static,
+        drain: impl FnOnce(),
+    ) -> io::Result<()> {
+        let handler: Arc<Handler> = Arc::new(handler);
+        let stop = Arc::new(AtomicBool::new(false));
+        // Each handler thread plus a second handle to its stream, kept so
+        // the drain below can shut the read half down — an idle peer
+        // parked in `read_frame` would otherwise block the join forever.
+        let mut conns: Vec<(thread::JoinHandle<()>, TcpStream)> = Vec::new();
+        let mut result = Ok(());
         for conn in self.listener.incoming() {
-            if self.stop.load(Ordering::Acquire) {
+            if stop.load(Ordering::Acquire) {
                 break;
             }
             let stream = match conn {
                 Ok(s) => s,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => continue,
-                Err(e) => return Err(e),
+                Err(e) => {
+                    result = Err(e);
+                    break;
+                }
             };
+            // Reap handlers whose peer has gone, so the list (one thread
+            // handle and one socket fd each) is bounded by the connections
+            // open now, not by every connection ever accepted.
+            let (gone, open): (Vec<_>, Vec<_>) =
+                conns.into_iter().partition(|(h, _)| h.is_finished());
+            conns = open;
+            for (h, _) in gone {
+                let _ = h.join();
+            }
             let peer = match stream.try_clone() {
                 Ok(p) => p,
                 Err(_) => continue, // can't track it for drain — refuse it
             };
-            let engine = Arc::clone(&self.engine);
-            let stop = Arc::clone(&self.stop);
-            let addr = self.addr;
-            let start_epoch = self.start_epoch;
-            let max_load_dim = self.max_load_dim;
-            let handle =
-                thread::Builder::new().name("fs-serve-conn".to_string()).spawn(move || {
-                    handle_connection(stream, &engine, &stop, addr, start_epoch, max_load_dim)
-                })?;
-            self.conns.lock().push((handle, peer));
-            if self.stop.load(Ordering::Acquire) {
+            let (answer, stopping) = (Arc::clone(&handler), Arc::clone(&stop));
+            let (addr, frame_chaos) = (self.addr, self.frame_chaos);
+            let spawned = thread::Builder::new()
+                .name(thread_name.to_string())
+                .spawn(move || handle_connection(stream, &*answer, &stopping, addr, frame_chaos));
+            match spawned {
+                Ok(handle) => conns.push((handle, peer)),
+                Err(e) => {
+                    result = Err(e);
+                    break;
+                }
+            }
+            if stop.load(Ordering::Acquire) {
                 break;
             }
         }
-        // Drain: finish queued work, then unblock and join connection
-        // handlers. Shutting down only the *read* half wakes a handler
-        // parked in `read_frame` (it sees clean EOF) while still letting
-        // an in-flight response finish writing.
-        self.engine.shutdown();
-        let conns: Vec<(thread::JoinHandle<()>, TcpStream)> =
-            std::mem::take(&mut *self.conns.lock());
+        drain();
+        // Shutting down only the *read* half wakes a handler parked in
+        // `read_frame` (it sees clean EOF) while still letting an
+        // in-flight response finish writing.
         for (_, peer) in &conns {
             let _ = peer.shutdown(Shutdown::Read);
         }
         for (h, _) in conns {
             let _ = h.join();
         }
-        Ok(())
+        result
     }
 }
 
+/// What a front end answers requests with.
+type Handler = dyn Fn(Request) -> Response + Send + Sync;
+
+/// One connection: read → decode → `handler` → encode → write, until the
+/// peer closes, the stream fails, or a `Shutdown` request has been
+/// acknowledged (which sets `stop` and wakes the accept loop).
 fn handle_connection(
     stream: TcpStream,
-    engine: &Arc<ServeEngine>,
-    stop: &Arc<AtomicBool>,
-    server_addr: SocketAddr,
-    start_epoch: u64,
-    max_load_dim: u32,
+    handler: &Handler,
+    stop: &AtomicBool,
+    listener_addr: SocketAddr,
+    frame_chaos: bool,
 ) {
     let _ = stream.set_nodelay(true);
     let mut reader = match stream.try_clone() {
@@ -165,98 +186,117 @@ fn handle_connection(
         Err(_) => return,
     };
     let mut writer = stream;
-    loop {
-        let payload = match read_frame(&mut reader) {
-            Ok(Some(p)) => p,
-            Ok(None) => return, // clean EOF
-            Err(_) => return,
-        };
+    // Clean EOF and a broken stream end the connection alike.
+    while let Ok(Some(payload)) = read_frame(&mut reader) {
         let decoded = {
             let _span = fs_trace::span(fs_trace::Site::ServeDecode);
             Request::decode(&payload)
         };
+        drop(payload);
+        let is_shutdown = matches!(decoded, Ok(Request::Shutdown));
         let response = match decoded {
-            Ok(req) => {
-                let is_shutdown = matches!(req, Request::Shutdown);
-                let resp = dispatch(req, engine, server_addr, start_epoch, max_load_dim);
-                if is_shutdown {
-                    let _ = resp.encode().map(|bytes| write_frame(&mut writer, &bytes));
-                    stop.store(true, Ordering::Release);
-                    // Wake the accept loop so `run` can drain and exit.
-                    let _ = TcpStream::connect_timeout(&server_addr, Duration::from_secs(1));
-                    return;
-                }
-                resp
-            }
+            Ok(req) => handler(req),
             Err(e) => Response::Error { code: ErrorCode::BadRequest, message: e.to_string() },
         };
         let _span = fs_trace::span(fs_trace::Site::ServeEncode);
-        let bytes = match response.encode() {
-            Ok(b) => b,
-            Err(e) => {
-                let fallback =
-                    Response::Error { code: ErrorCode::Internal, message: e.to_string() };
-                match fallback.encode() {
-                    Ok(b) => b,
-                    Err(_) => return,
-                }
-            }
+        let internal = |e: ProtoError| {
+            Response::Error { code: ErrorCode::Internal, message: e.to_string() }.frame()
         };
-        // `Pong` is control plane (readiness probing), exempt from frame
-        // chaos; `ShutdownAck` goes through the dedicated path above.
-        let control = matches!(response, Response::Pong);
-        match write_response(&mut writer, &bytes, control) {
-            Ok(true) => {}
-            Ok(false) | Err(_) => return,
+        let Ok(mut frame) = response.frame().or_else(internal) else { return };
+        // `Pong` (readiness probing) and `ShutdownAck` are control plane,
+        // exempt from frame chaos.
+        let chaos = frame_chaos
+            && !is_shutdown
+            && !matches!(response, Response::Pong)
+            && fs_chaos::chaos_enabled();
+        let alive = if chaos {
+            chaos_write(&mut writer, &mut frame)
+        } else {
+            write_frame(&mut writer, &frame).map(|()| true)
+        };
+        if is_shutdown {
+            stop.store(true, Ordering::Release);
+            // Wake the accept loop so `run` can drain and exit.
+            let _ = TcpStream::connect_timeout(&listener_addr, Duration::from_secs(1));
+            return;
+        }
+        if !matches!(alive, Ok(true)) {
+            return;
         }
     }
 }
 
-/// Write one response frame, consulting the chaos frame sites for
-/// data-plane responses. `Ok(false)` means injected truncation left the
-/// stream mid-frame, so the connection must close.
-fn write_response(writer: &mut TcpStream, payload: &[u8], control: bool) -> io::Result<bool> {
-    if !control && fs_chaos::chaos_enabled() {
-        if let Some(alive) = chaos_write(writer, payload)? {
-            return Ok(alive);
-        }
-    }
-    write_frame(writer, payload)?;
-    Ok(true)
-}
-
-/// Evaluate the frame chaos sites for one outgoing response. Corruption
-/// flips one *payload* byte inside the framed bytes — past the header,
-/// so the checksum guarantees the client detects it as `InvalidData`
-/// rather than decoding garbage. Truncation sends a prefix and closes
-/// the connection (the client sees an unexpected EOF). Both draws are
-/// always evaluated so replay counts stay aligned with the plan.
-/// `Ok(None)` means no draw fired and the ordinary write path should run.
+/// Write one response frame under the frame chaos sites. Corruption
+/// flips one *payload* byte — past the header, so the checksum
+/// guarantees the client detects it as `InvalidData` rather than
+/// decoding garbage. Truncation sends a prefix; `Ok(false)` then tells
+/// the caller the stream is mid-frame and the connection must close (the
+/// client sees an unexpected EOF). Both draws are always evaluated so
+/// replay counts stay aligned with the plan.
 #[cold]
-fn chaos_write(writer: &mut TcpStream, payload: &[u8]) -> io::Result<Option<bool>> {
-    use std::io::Write as _;
+fn chaos_write(writer: &mut TcpStream, frame: &mut [u8]) -> io::Result<bool> {
     let corrupt = fs_chaos::draw(FaultSite::FrameCorrupt);
     let truncate = fs_chaos::draw(FaultSite::FrameTruncate);
-    if corrupt.is_none() && truncate.is_none() {
-        return Ok(None);
-    }
-    let mut framed = frame_bytes(payload)?;
     if let Some(d) = corrupt {
-        if framed.len() > FRAME_HEADER_BYTES {
-            let span = (framed.len() - FRAME_HEADER_BYTES) as u64;
+        if frame.len() > FRAME_HEADER_BYTES {
+            let span = (frame.len() - FRAME_HEADER_BYTES) as u64;
             let i = FRAME_HEADER_BYTES + d.select(0, span) as usize;
-            framed[i] ^= 1u8 << d.select(1, 8);
+            frame[i] ^= 1u8 << d.select(1, 8);
         }
     }
-    if let Some(d) = truncate {
-        let keep = d.select(0, framed.len() as u64) as usize;
-        writer.write_all(&framed[..keep])?;
-        writer.flush()?;
-        return Ok(Some(false));
+    let keep = truncate.map(|d| d.select(0, frame.len() as u64) as usize);
+    write_frame(writer, &frame[..keep.unwrap_or(frame.len())])?;
+    Ok(keep.is_none())
+}
+
+/// A bound, running server. Accepts until a `Shutdown` message arrives.
+pub struct Server {
+    engine: Arc<ServeEngine>,
+    listener: Listener,
+    max_load_dim: u32,
+}
+
+impl Server {
+    /// Bind the listener and start the engine. The accept loop runs on
+    /// the caller's thread via [`Server::run`].
+    pub fn bind(cfg: &ServerConfig) -> io::Result<Server> {
+        let listener = Listener { frame_chaos: true, ..Listener::bind(&cfg.addr)? };
+        Ok(Server {
+            engine: Arc::new(ServeEngine::start(cfg.engine)),
+            listener,
+            max_load_dim: cfg.max_load_dim,
+        })
     }
-    writer.write_all(&framed)?;
-    writer.flush()?;
-    Ok(Some(true))
+
+    /// The bound address (useful with port 0).
+    pub fn local_addr(&self) -> SocketAddr {
+        self.listener.local_addr()
+    }
+
+    /// Milliseconds since the Unix epoch at bind time — the restart
+    /// marker echoed in the metrics document's `server` section.
+    pub fn start_epoch(&self) -> u64 {
+        self.listener.start_epoch()
+    }
+
+    /// The engine, for in-process use alongside the TCP front end.
+    pub fn engine(&self) -> &Arc<ServeEngine> {
+        &self.engine
+    }
+
+    /// Accept and serve connections until a `Shutdown` request arrives,
+    /// then finish the engine's queued work and join every connection
+    /// thread.
+    pub fn run(self) -> io::Result<()> {
+        let Server { engine, listener, max_load_dim } = self;
+        let (addr, start_epoch) = (listener.local_addr(), listener.start_epoch());
+        let draining = Arc::clone(&engine);
+        listener.run(
+            "fs-serve-conn",
+            move |req| dispatch(req, &engine, addr, start_epoch, max_load_dim),
+            move || draining.shutdown(),
+        )
+    }
 }
 
 /// Prefix the engine's metrics document with a `server` section carrying
@@ -318,18 +358,8 @@ fn dispatch(
                 nnz: info.nnz as u64,
             }
         }
-        Request::Spmm { tenant, matrix_id, deadline_ms, b_rows, n, b } => {
-            let deadline = if deadline_ms == 0 {
-                None
-            } else {
-                Some(Duration::from_millis(u64::from(deadline_ms)))
-            };
-            let request = SpmmRequest {
-                tenant,
-                matrix_id,
-                b: DenseMatrix::from_f32_slice(b_rows as usize, n as usize, &b),
-                deadline,
-            };
+        Request::Spmm { call: SpmmCall { tenant, matrix_id, deadline_ms, b } } => {
+            let request = SpmmRequest { tenant, matrix_id, b, deadline: deadline(deadline_ms) };
             match engine.spmm_blocking(request) {
                 Ok(SpmmOutcome::Done(resp)) => Response::Spmm {
                     cache_hit: resp.cache_hit,
@@ -338,9 +368,7 @@ fn dispatch(
                     service_micros: resp.service_micros,
                     fallback_level: resp.fallback_level.as_u8(),
                     verified: resp.verified,
-                    rows: resp.out.rows().min(u32::MAX as usize) as u32,
-                    n: resp.out.cols().min(u32::MAX as usize) as u32,
-                    out: resp.out.to_f32_vec(),
+                    out: resp.out,
                 },
                 Ok(SpmmOutcome::TimedOut) => Response::Error {
                     code: ErrorCode::DeadlineExceeded,
@@ -400,9 +428,6 @@ fn dispatch(
             Response::Evicted { existed: engine.evict_matrix(matrix_id) }
         }
         Request::GnnRegister { tenant, matrix_id, kind, weights, scalars } => {
-            let dense = |w: &(u32, u32, Vec<f32>)| {
-                DenseMatrix::from_f32_slice(w.0 as usize, w.1 as usize, &w.2)
-            };
             let model = match kind {
                 0 => {
                     if !scalars.is_empty() {
@@ -411,23 +436,19 @@ fn dispatch(
                             message: "GCN models take no scalar parameters".to_string(),
                         };
                     }
-                    GnnWeights::gcn(weights.iter().map(dense).collect())
+                    GnnWeights::gcn(weights)
                 }
                 1 => {
-                    if weights.len() != 2 {
+                    let count = weights.len();
+                    let Ok([w_in, w_out]) = <[DenseMatrix<f32>; 2]>::try_from(weights) else {
                         return Response::Error {
                             code: ErrorCode::BadRequest,
                             message: format!(
-                                "AGNN needs exactly 2 weight matrices (w_in, w_out), got {}",
-                                weights.len()
+                                "AGNN needs exactly 2 weight matrices (w_in, w_out), got {count}"
                             ),
                         };
-                    }
-                    GnnWeights::Agnn {
-                        w_in: dense(&weights[0]),
-                        betas: scalars,
-                        w_out: dense(&weights[1]),
-                    }
+                    };
+                    GnnWeights::Agnn { w_in, betas: scalars, w_out }
                 }
                 k => {
                     return Response::Error {
@@ -445,41 +466,37 @@ fn dispatch(
                 Err(e) => gnn_error(e),
             }
         }
-        Request::GnnInfer {
-            tenant,
-            model_id,
-            precision,
-            deadline_ms,
-            node_ids,
-            f_rows,
-            f_cols,
-            features,
-        } => {
-            let deadline = if deadline_ms == 0 {
-                None
-            } else {
-                Some(Duration::from_millis(u64::from(deadline_ms)))
-            };
+        Request::GnnInfer { tenant, model_id, precision, deadline_ms, node_ids, features } => {
             let req = GnnInferRequest {
                 tenant,
                 model_id,
                 precision,
-                deadline,
+                deadline: deadline(deadline_ms),
                 node_ids,
-                features: DenseMatrix::from_f32_slice(f_rows as usize, f_cols as usize, &features),
+                features,
             };
-            match engine.gnn_infer(req) {
-                Ok(out) => Response::GnnInfer {
-                    rows: out.rows,
-                    classes: out.classes,
-                    scores: out.scores,
+            let out = match engine.gnn_infer(req) {
+                Ok(out) => out,
+                Err(e) => return gnn_error(e),
+            };
+            match DenseMatrix::try_from_vec(out.rows as usize, out.classes as usize, out.scores) {
+                Some(scores) => Response::GnnInfer {
+                    scores,
                     layer_micros: out.layer_micros,
                     cache_hit: out.cache_hit,
                 },
-                Err(e) => gnn_error(e),
+                None => Response::Error {
+                    code: ErrorCode::Internal,
+                    message: "score dims disagree with data length".to_string(),
+                },
             }
         }
     }
+}
+
+/// A wire deadline: 0 means "the engine's default".
+fn deadline(deadline_ms: u32) -> Option<Duration> {
+    (deadline_ms != 0).then(|| Duration::from_millis(u64::from(deadline_ms)))
 }
 
 fn gnn_error(e: GnnError) -> Response {

@@ -173,18 +173,18 @@ fn oversized_load_dimensions_are_refused_without_allocation() {
         cols: 1,
         entries: Vec::new(),
     };
-    write_frame(&mut stream, &req.encode().expect("encode")).expect("write");
+    write_frame(&mut stream, &req.frame().expect("encode")).expect("write");
     let frame = read_frame(&mut stream).expect("read").expect("response frame");
     match Response::decode(&frame).expect("decode") {
         Response::Error { code, .. } => assert_eq!(code, ErrorCode::BadRequest),
         other => panic!("expected BadRequest, got {other:?}"),
     }
     // The server survived and the same connection still answers.
-    write_frame(&mut stream, &Request::Ping.encode().expect("encode")).expect("write");
+    write_frame(&mut stream, &Request::Ping.frame().expect("encode")).expect("write");
     let frame = read_frame(&mut stream).expect("read").expect("pong frame");
     assert_eq!(Response::decode(&frame).expect("decode"), Response::Pong);
 
-    write_frame(&mut stream, &Request::Shutdown.encode().expect("encode")).expect("write");
+    write_frame(&mut stream, &Request::Shutdown.frame().expect("encode")).expect("write");
     let _ = read_frame(&mut stream);
     server_thread
         .join()
