@@ -81,8 +81,20 @@ enum HelperKind {
 
 /// Extract the nested-acquisition edges of one file.
 pub fn file_edges(m: &FileModel) -> Vec<LockEdge> {
+    scan_file(m).1
+}
+
+/// Every acquisition the pass recognises in one file, nested or not —
+/// what a test asks to make sure a refactor has not moved a lock's
+/// callers out of sight of its file-local guard helper.
+pub fn file_sites(m: &FileModel) -> Vec<LockSite> {
+    scan_file(m).0
+}
+
+fn scan_file(m: &FileModel) -> (Vec<LockSite>, Vec<LockEdge>) {
     let limit = m.test_start.unwrap_or(m.len());
     let helpers = find_guard_helpers(m, limit);
+    let mut sites = Vec::new();
     let mut edges = Vec::new();
     let mut guards: Vec<Guard> = Vec::new();
     let mut brace: u32 = 0;
@@ -153,6 +165,7 @@ pub fn file_edges(m: &FileModel) -> Vec<LockEdge> {
 
         if let Some(acq) = acquisition_at(m, ci, &helpers) {
             let line = m.line(ci);
+            let site = LockSite { lock: acq.clone(), file: m.path.clone(), line };
             let annotated = m.annotated(line, "lint: lock-order-ok");
             if !annotated {
                 for g in &guards {
@@ -162,10 +175,11 @@ pub fn file_edges(m: &FileModel) -> Vec<LockEdge> {
                             file: m.path.clone(),
                             line: g.line,
                         },
-                        inner: LockSite { lock: acq.clone(), file: m.path.clone(), line },
+                        inner: site.clone(),
                     });
                 }
             }
+            sites.push(site);
             // A `let`-bound guard lives to the end of the enclosing brace
             // scope; an `if let`/`while let` scrutinee or unbound
             // temporary starts statement-bound (and extends into the
@@ -179,7 +193,7 @@ pub fn file_edges(m: &FileModel) -> Vec<LockEdge> {
         }
         ci += 1;
     }
-    edges
+    (sites, edges)
 }
 
 struct Helpers {
@@ -528,6 +542,20 @@ mod tests {
                    r.events.lock().unwrap_or_else(PoisonError::into_inner)\n}\n\
                    fn f(&self) {\n  let q = lock_recover(&self.inner.queue);\n  let e = lock_events(reg);\n}\n";
         assert_eq!(edge_pairs(src), vec![("queue".to_string(), "events".to_string())]);
+    }
+
+    #[test]
+    fn sites_list_every_acquisition_and_miss_a_helper_defined_elsewhere() {
+        let helper = "fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {\n\
+                      m.lock().unwrap_or_else(PoisonError::into_inner)\n}\n";
+        let caller = "fn f(&self) {\n  let q = lock_recover(&self.queue);\n  self.cache.lock().clear();\n}\n";
+        let names = |src: &str| -> Vec<String> {
+            file_sites(&model("crates/x/src/a.rs", src)).into_iter().map(|s| s.lock).collect()
+        };
+        assert_eq!(names(&format!("{helper}{caller}")), vec!["queue", "cache"]);
+        // Helpers resolve file-locally: without the definition beside it
+        // the `queue` acquisition is invisible.
+        assert_eq!(names(caller), vec!["cache"]);
     }
 
     #[test]

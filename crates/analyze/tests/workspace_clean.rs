@@ -28,6 +28,29 @@ fn workspace_has_no_findings() {
     );
 }
 
+/// The lock-order pass resolves guard helpers such as fs-serve's
+/// `lock_recover` file-locally, so a refactor that moves a lock's callers
+/// into another file than the helper drops those acquisitions from the
+/// graph while `check` stays green. Hold the pass to still seeing every
+/// lock the serving engine takes.
+#[test]
+fn lock_pass_still_sees_the_serving_engines_locks() {
+    let ws = Workspace::load(repo_root()).expect("load workspace");
+    let seen: std::collections::BTreeSet<String> = ws
+        .files
+        .iter()
+        .filter(|m| m.path.starts_with("crates/serve/src"))
+        .flat_map(analyze::locks::file_sites)
+        .map(|site| site.lock)
+        .collect();
+    for lock in ["queue", "cache", "tenants", "matrices", "breakers"] {
+        assert!(
+            seen.contains(lock),
+            "no acquisition of fs-serve's `{lock}` lock recorded: {seen:?}"
+        );
+    }
+}
+
 #[test]
 fn committed_baseline_is_empty_and_parses() {
     let text =

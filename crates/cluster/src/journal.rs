@@ -5,9 +5,14 @@
 //!
 //! ## Record format
 //!
-//! Each record rides in the same frame the wire protocol uses — `[u32 LE
-//! payload length][u64 LE FNV-1a checksum][payload]` — so a torn or
-//! corrupted tail is detected exactly like wire corruption. Recovery
+//! [`Record`] and [`SlabRecord`] are declared with the wire protocol's
+//! own table macros, so their layout is their field order and the one
+//! `Wire` codec moves them. Each record rides in the same frame the wire
+//! protocol uses — `[u32 LE payload length][u64 LE FNV-1a
+//! checksum][payload]` — so a torn or corrupted tail is detected exactly
+//! like wire corruption. A string or slab list too long for its length
+//! prefix is an encode error, and a corrupt entry count reserves no more
+//! than the payload can hold (`Cursor::list`). Recovery
 //! reads the longest valid prefix and stops at the first short or
 //! checksum-failing record: a partial record can never contribute a
 //! partial matrix to the rebuilt map (pinned by the corrupt-tail
@@ -22,207 +27,63 @@ use std::io::{self, BufReader, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use fs_chaos::FaultSite;
-use fs_serve::protocol::{frame_bytes, read_frame, FRAME_HEADER_BYTES};
+use fs_serve::protocol::{self, read_frame, CooEntries, Counted, FRAME_HEADER_BYTES};
+use fs_serve::{wire_enum, wire_struct};
 
-/// Where one slab of a journaled matrix lives.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SlabRecord {
-    /// Global row range `[start, end)`.
-    pub start: u64,
-    /// Global row range end (exclusive).
-    pub end: u64,
-    /// Content fingerprint of the slab's rebased CSR — the identity the
-    /// anti-entropy pass matches against a shard's resident inventory.
-    pub fp: (u64, u64),
-    /// Primary shard address.
-    pub primary_addr: String,
-    /// The slab's matrix id on the primary shard.
-    pub primary_id: u64,
-    /// Replica shard address and shard-side id, when replicated.
-    pub replica: Option<(String, u64)>,
-}
-
-/// One journal record.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Record {
-    /// A matrix was registered through the router. Carries the spilled
-    /// source entries so a repair can re-slice any slab even when no
-    /// replica survives.
-    Load {
-        /// Router-issued matrix id.
-        matrix_id: u64,
-        /// Tenant the matrix was registered under.
-        tenant: String,
-        /// Content fingerprint of the full (deduplicated) matrix.
-        fp: (u64, u64),
-        /// Matrix rows.
-        rows: u64,
-        /// Matrix columns.
-        cols: u64,
-        /// Deduplicated COO entries in CSR iteration order.
-        entries: Vec<(u32, u32, f32)>,
-        /// Slab placement at load time.
-        slabs: Vec<SlabRecord>,
-    },
-    /// A repair (or rejoin) moved one slab; applied over the matching
-    /// `Load` record in journal order at recovery.
-    Assign {
-        /// Router-issued matrix id the slab belongs to.
-        matrix_id: u64,
-        /// Slab index within the matrix.
-        slab_index: u32,
-        /// The slab's new placement.
-        slab: SlabRecord,
-    },
-}
-
-const REC_LOAD: u8 = 1;
-const REC_ASSIGN: u8 = 2;
-
-fn put_string(out: &mut Vec<u8>, s: &str) {
-    let bytes = s.as_bytes();
-    let len = bytes.len().min(u16::MAX as usize) as u16; // lint: checked-cast - clamped
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&bytes[..len as usize]);
-}
-
-fn put_slab(out: &mut Vec<u8>, slab: &SlabRecord) {
-    out.extend_from_slice(&slab.start.to_le_bytes());
-    out.extend_from_slice(&slab.end.to_le_bytes());
-    out.extend_from_slice(&slab.fp.0.to_le_bytes());
-    out.extend_from_slice(&slab.fp.1.to_le_bytes());
-    put_string(out, &slab.primary_addr);
-    out.extend_from_slice(&slab.primary_id.to_le_bytes());
-    match &slab.replica {
-        Some((addr, id)) => {
-            out.push(1);
-            put_string(out, addr);
-            out.extend_from_slice(&id.to_le_bytes());
-        }
-        None => out.push(0),
+wire_struct! {
+    /// Where one slab of a journaled matrix lives.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct SlabRecord {
+        /// Global row range `[start, end)`.
+        pub start: u64,
+        /// Global row range end (exclusive).
+        pub end: u64,
+        /// Content fingerprint of the slab's rebased CSR — the identity the
+        /// anti-entropy pass matches against a shard's resident inventory.
+        pub fp: (u64, u64),
+        /// Primary shard address.
+        pub primary_addr: String,
+        /// The slab's matrix id on the primary shard.
+        pub primary_id: u64,
+        /// Replica shard address and shard-side id, when replicated.
+        pub replica: Option<(String, u64)>,
     }
 }
 
-struct Cursor<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        if n > self.data.len() - self.pos {
-            return None;
-        }
-        let s = &self.data[self.pos..self.pos + n];
-        self.pos += n;
-        Some(s)
+wire_enum! {
+    /// One journal record.
+    #[derive(Clone, Debug, PartialEq)]
+    pub enum Record: "journal record tag" {
+        /// A matrix was registered through the router. Carries the spilled
+        /// source entries so a repair can re-slice any slab even when no
+        /// replica survives.
+        Load = 1 {
+            /// Router-issued matrix id.
+            matrix_id: u64,
+            /// Tenant the matrix was registered under.
+            tenant: String,
+            /// Content fingerprint of the full (deduplicated) matrix.
+            fp: (u64, u64),
+            /// Matrix rows.
+            rows: u64,
+            /// Matrix columns.
+            cols: u64,
+            /// Deduplicated COO entries in CSR iteration order.
+            entries: CooEntries,
+            /// Slab placement at load time.
+            slabs: Vec<SlabRecord> as Counted<u32>,
+        },
+        /// A repair (or rejoin) moved one slab; applied over the matching
+        /// `Load` record in journal order at recovery.
+        Assign = 2 {
+            /// Router-issued matrix id the slab belongs to.
+            matrix_id: u64,
+            /// Slab index within the matrix.
+            slab_index: u32,
+            /// The slab's new placement.
+            slab: SlabRecord,
+        },
     }
-
-    fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|b| b[0])
-    }
-
-    fn u16(&mut self) -> Option<u16> {
-        self.take(2).map(|b| u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        self.take(4).map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.take(8).map(|b| {
-            let mut a = [0u8; 8];
-            a.copy_from_slice(b);
-            u64::from_le_bytes(a)
-        })
-    }
-
-    fn string(&mut self) -> Option<String> {
-        let len = self.u16()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).ok()
-    }
-
-    fn slab(&mut self) -> Option<SlabRecord> {
-        let start = self.u64()?;
-        let end = self.u64()?;
-        let fp = (self.u64()?, self.u64()?);
-        let primary_addr = self.string()?;
-        let primary_id = self.u64()?;
-        let replica = match self.u8()? {
-            0 => None,
-            _ => Some((self.string()?, self.u64()?)),
-        };
-        Some(SlabRecord { start, end, fp, primary_addr, primary_id, replica })
-    }
-}
-
-/// Encode one record to its frame payload (the checksummed frame is
-/// added by [`Journal::append`]).
-pub fn encode_record(rec: &Record) -> Vec<u8> {
-    let mut out = Vec::new();
-    match rec {
-        Record::Load { matrix_id, tenant, fp, rows, cols, entries, slabs } => {
-            out.push(REC_LOAD);
-            out.extend_from_slice(&matrix_id.to_le_bytes());
-            put_string(&mut out, tenant);
-            out.extend_from_slice(&fp.0.to_le_bytes());
-            out.extend_from_slice(&fp.1.to_le_bytes());
-            out.extend_from_slice(&rows.to_le_bytes());
-            out.extend_from_slice(&cols.to_le_bytes());
-            out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
-            for (r, c, v) in entries {
-                out.extend_from_slice(&r.to_le_bytes());
-                out.extend_from_slice(&c.to_le_bytes());
-                out.extend_from_slice(&v.to_bits().to_le_bytes());
-            }
-            let n = slabs.len().min(u32::MAX as usize) as u32; // lint: checked-cast - clamped
-            out.extend_from_slice(&n.to_le_bytes());
-            for slab in slabs {
-                put_slab(&mut out, slab);
-            }
-        }
-        Record::Assign { matrix_id, slab_index, slab } => {
-            out.push(REC_ASSIGN);
-            out.extend_from_slice(&matrix_id.to_le_bytes());
-            out.extend_from_slice(&slab_index.to_le_bytes());
-            put_slab(&mut out, slab);
-        }
-    }
-    out
-}
-
-/// Decode one record payload; `None` on any truncation or malformed
-/// field (recovery treats it as end-of-valid-prefix).
-pub fn decode_record(payload: &[u8]) -> Option<Record> {
-    let mut c = Cursor { data: payload, pos: 0 };
-    let rec = match c.u8()? {
-        REC_LOAD => {
-            let matrix_id = c.u64()?;
-            let tenant = c.string()?;
-            let fp = (c.u64()?, c.u64()?);
-            let rows = c.u64()?;
-            let cols = c.u64()?;
-            let n = c.u64()? as usize;
-            let mut entries = Vec::with_capacity(n.min(1 << 20));
-            for _ in 0..n {
-                entries.push((c.u32()?, c.u32()?, f32::from_bits(c.u32()?)));
-            }
-            let slab_count = c.u32()? as usize;
-            let mut slabs = Vec::with_capacity(slab_count.min(1 << 10));
-            for _ in 0..slab_count {
-                slabs.push(c.slab()?);
-            }
-            Record::Load { matrix_id, tenant, fp, rows, cols, entries, slabs }
-        }
-        REC_ASSIGN => Record::Assign { matrix_id: c.u64()?, slab_index: c.u32()?, slab: c.slab()? },
-        _ => return None,
-    };
-    if c.pos != c.data.len() {
-        return None;
-    }
-    Some(rec)
 }
 
 /// What recovery found in an existing journal file.
@@ -257,12 +118,12 @@ impl Journal {
             let mut reader = BufReader::new(&mut file);
             loop {
                 match read_frame(&mut reader) {
-                    Ok(Some(payload)) => match decode_record(&payload) {
-                        Some(rec) => {
+                    Ok(Some(payload)) => match protocol::decode(&payload) {
+                        Ok(rec) => {
                             valid_bytes += (FRAME_HEADER_BYTES + payload.len()) as u64;
                             records.push(rec);
                         }
-                        None => {
+                        Err(_) => {
                             dropped_tail = true;
                             break;
                         }
@@ -303,8 +164,7 @@ impl Journal {
     /// `journal-corrupt` chaos site: a fired draw flips one payload byte
     /// of the framed record, which recovery later detects and truncates.
     pub fn append(&mut self, rec: &Record) -> io::Result<()> {
-        let payload = encode_record(rec);
-        let mut framed = frame_bytes(&payload)
+        let mut framed = protocol::frame(rec)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
         if fs_chaos::chaos_enabled() {
             if let Some(d) = fs_chaos::draw(FaultSite::JournalCorrupt) {
@@ -353,6 +213,14 @@ mod tests {
                 },
             ],
         }
+    }
+
+    fn encode_record(rec: &Record) -> Vec<u8> {
+        protocol::encode(rec).expect("encode")
+    }
+
+    fn decode_record(payload: &[u8]) -> Option<Record> {
+        protocol::decode(payload).ok()
     }
 
     #[test]
@@ -417,10 +285,7 @@ mod tests {
         drop(j);
         // Flip a byte inside the second record's payload.
         let mut bytes = std::fs::read(&path).expect("read");
-        let first_len = {
-            let first = frame_bytes(&encode_record(&sample_load(1))).expect("frame");
-            first.len()
-        };
+        let first_len = protocol::frame(&sample_load(1)).expect("frame").len();
         bytes[first_len + FRAME_HEADER_BYTES + 3] ^= 0x40;
         std::fs::write(&path, &bytes).expect("write");
         let (mut j, rec) = Journal::open(&path).expect("reopen");

@@ -317,10 +317,7 @@ impl RouterState {
             Some(client) => f(client),
             None => Err(ClientError::Unexpected("no shard connection".to_string())),
         };
-        if matches!(
-            result,
-            Err(ClientError::Io(_) | ClientError::Proto(_) | ClientError::Unexpected(_))
-        ) {
+        if result.as_ref().is_err_and(ClientError::needs_reconnect) {
             *slot = None;
         }
         result

@@ -1,17 +1,23 @@
-//! The translated-format cache: translation + tuning paid once per matrix.
+//! The byte-budget LRU, and the translated-format cache it was written
+//! for: translation + tuning paid once per matrix.
 //!
 //! Acc-SpMM and cuTeSpMM both observe that in real deployments the
 //! preprocessing cost (format translation, variant selection) dominates a
 //! single kernel launch by orders of magnitude and must be amortized.
-//! This cache holds [`CachedFormat`] entries — the ME-BCRS translation
-//! plus the [`TuneChoice`] that selected it — under a **byte budget**
-//! measured with fs-format's footprint accounting (the same numbers as
-//! the paper's Table 7), evicting least-recently-used entries to stay
-//! within it. Entries larger than the whole budget are served but never
-//! stored, so the budget is a hard invariant (proptested in
-//! `tests/cache_props.rs`).
+//! [`FormatCache`] holds [`CachedFormat`] entries — the ME-BCRS
+//! translation plus the [`TuneChoice`] that selected it — under a **byte
+//! budget** measured with fs-format's footprint accounting (the same
+//! numbers as the paper's Table 7), evicting least-recently-used entries
+//! to stay within it. Entries larger than the whole budget are served but
+//! never stored, so the budget is a hard invariant (proptested in
+//! `tests/proptests.rs::cache_never_exceeds_budget`).
+//!
+//! The LRU itself, [`ByteLru`], is generic over key and value: the GNN
+//! embedding cache (`gnn_infer`) is the same structure keyed by `(model,
+//! precision, feature fingerprint)`.
 
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::Arc;
 
 use flashsparse::{TranslatedMatrix, TuneChoice};
@@ -19,6 +25,13 @@ use fs_format::MemoryFootprint;
 use fs_trace::export::JsonWriter;
 
 use crate::fingerprint::Fingerprint;
+
+/// Something that is charged against a byte budget while it is resident
+/// — a cache entry, a registered matrix, a registered model.
+pub trait Footprint {
+    /// Bytes this value keeps resident.
+    fn footprint_bytes(&self) -> usize;
+}
 
 /// A fully preprocessed matrix: the translated storage and the tuned
 /// kernel configuration that chose it.
@@ -30,10 +43,9 @@ pub struct CachedFormat {
     pub choice: TuneChoice,
 }
 
-impl CachedFormat {
-    /// Resident bytes this entry charges against the cache budget: the
-    /// translated arrays plus the (fixed-size) tune choice wire form.
-    pub fn footprint_bytes(&self) -> usize {
+/// The translated arrays plus the (fixed-size) tune choice wire form.
+impl Footprint for CachedFormat {
+    fn footprint_bytes(&self) -> usize {
         self.translated.footprint_bytes() + TuneChoice::WIRE_BYTES
     }
 }
@@ -86,31 +98,35 @@ impl CacheStats {
     }
 }
 
-/// An LRU cache of translated formats with a byte-footprint budget.
+/// An LRU cache with a byte-footprint budget.
 ///
-/// Not internally synchronized — the engine wraps it in a mutex. Entries
+/// Not internally synchronized — its owner wraps it in a mutex. Entries
 /// are handed out as `Arc`s, so an eviction never invalidates an entry a
-/// worker is still multiplying against.
-pub struct FormatCache {
+/// worker is still reading, and a hit costs one `Arc` clone under the
+/// lock however large the entry is.
+pub struct ByteLru<K, V> {
     budget_bytes: usize,
     resident_bytes: usize,
     tick: u64,
-    entries: HashMap<Fingerprint, Slot>,
+    entries: HashMap<K, Slot<V>>,
     stats: CacheStats,
 }
 
-struct Slot {
-    format: Arc<CachedFormat>,
+/// The translated-format cache, keyed by content fingerprint.
+pub type FormatCache = ByteLru<Fingerprint, CachedFormat>;
+
+struct Slot<V> {
+    value: Arc<V>,
     footprint: usize,
     last_used: u64,
 }
 
-impl FormatCache {
+impl<K: Copy + Eq + Hash, V: Footprint> ByteLru<K, V> {
     /// An empty cache with the given byte budget. A zero budget disables
     /// residency entirely (every lookup misses) — the serving engine's
     /// "cold" configuration.
-    pub fn new(budget_bytes: usize) -> FormatCache {
-        FormatCache {
+    pub fn new(budget_bytes: usize) -> ByteLru<K, V> {
+        ByteLru {
             budget_bytes,
             resident_bytes: 0,
             tick: 0,
@@ -119,14 +135,14 @@ impl FormatCache {
         }
     }
 
-    /// Look up a fingerprint, refreshing its recency on a hit.
-    pub fn get(&mut self, fp: &Fingerprint) -> Option<Arc<CachedFormat>> {
+    /// Look up a key, refreshing its recency on a hit.
+    pub fn get(&mut self, key: &K) -> Option<Arc<V>> {
         self.tick += 1;
-        match self.entries.get_mut(fp) {
+        match self.entries.get_mut(key) {
             Some(slot) => {
                 slot.last_used = self.tick;
                 self.stats.hits += 1;
-                Some(Arc::clone(&slot.format))
+                Some(Arc::clone(&slot.value))
             }
             None => {
                 self.stats.misses += 1;
@@ -135,21 +151,21 @@ impl FormatCache {
         }
     }
 
-    /// Insert a freshly translated entry, evicting LRU entries until it
-    /// fits. If the entry alone exceeds the budget it is *not* stored
-    /// (the caller still gets its `Arc` back) — the budget is never
-    /// exceeded, even transiently.
-    pub fn insert(&mut self, fp: Fingerprint, format: CachedFormat) -> Arc<CachedFormat> {
-        let format = Arc::new(format);
-        let footprint = format.footprint_bytes();
+    /// Insert a freshly built entry, evicting LRU entries until it fits.
+    /// If the entry alone exceeds the budget it is *not* stored (the
+    /// caller still gets its `Arc` back) — the budget is never exceeded,
+    /// even transiently.
+    pub fn insert(&mut self, key: K, value: V) -> Arc<V> {
+        let value = Arc::new(value);
+        let footprint = value.footprint_bytes();
         if footprint > self.budget_bytes {
             self.stats.rejected_oversize += 1;
-            return format;
+            return value;
         }
-        // A racing worker may have inserted the same fingerprint while we
-        // translated; keep the resident one and drop ours.
-        if let Some(slot) = self.entries.get(&fp) {
-            return Arc::clone(&slot.format);
+        // A racing worker may have inserted the same key while we built
+        // ours; keep the resident one and drop ours.
+        if let Some(slot) = self.entries.get(&key) {
+            return Arc::clone(&slot.value);
         }
         while self.resident_bytes + footprint > self.budget_bytes {
             if !self.evict_lru() {
@@ -158,54 +174,62 @@ impl FormatCache {
         }
         self.resident_bytes += footprint;
         self.tick += 1;
-        let tick = self.tick;
-        self.entries.insert(fp, Slot { format: Arc::clone(&format), footprint, last_used: tick });
-        self.sync_stats();
-        format
+        let slot = Slot { value: Arc::clone(&value), footprint, last_used: self.tick };
+        self.entries.insert(key, slot);
+        value
     }
 
-    /// Insert-or-overwrite: like [`FormatCache::insert`] but a resident
-    /// entry under the same fingerprint is replaced instead of kept. The
-    /// background tuner uses this to upgrade a FALLBACK-variant entry
-    /// (staged by the overlapped cold path) to the auto-tuned one —
-    /// `insert`'s keep-the-resident race resolution would silently drop
-    /// the upgrade. Not a lookup: hit/miss counters are untouched.
-    pub fn replace(&mut self, fp: Fingerprint, format: CachedFormat) -> Arc<CachedFormat> {
-        if let Some(slot) = self.entries.remove(&fp) {
+    /// Insert-or-overwrite: like [`ByteLru::insert`] but a resident entry
+    /// under the same key is replaced instead of kept. The background
+    /// tuner uses this to upgrade a FALLBACK-variant entry (staged by the
+    /// overlapped cold path) to the auto-tuned one — `insert`'s
+    /// keep-the-resident race resolution would silently drop the upgrade.
+    /// Not a lookup: hit/miss counters are untouched.
+    pub fn replace(&mut self, key: K, value: V) -> Arc<V> {
+        if let Some(slot) = self.entries.remove(&key) {
             self.resident_bytes -= slot.footprint;
         }
-        self.insert(fp, format)
+        self.insert(key, value)
+    }
+
+    /// Drop every entry whose key `keep` refuses — invalidation, not
+    /// eviction, so the eviction counter is untouched. Returns how many
+    /// entries fell.
+    pub fn retain(&mut self, mut keep: impl FnMut(&K) -> bool) -> usize {
+        let before = self.entries.len();
+        let mut released = 0;
+        self.entries.retain(|key, slot| {
+            let kept = keep(key);
+            if !kept {
+                released += slot.footprint;
+            }
+            kept
+        });
+        self.resident_bytes -= released;
+        before - self.entries.len()
     }
 
     /// Evict the least-recently-used entry. Returns false when empty.
     fn evict_lru(&mut self) -> bool {
-        let victim = self.entries.iter().min_by_key(|(_, s)| s.last_used).map(|(fp, _)| *fp);
-        match victim {
-            Some(fp) => {
-                if let Some(slot) = self.entries.remove(&fp) {
-                    self.resident_bytes -= slot.footprint;
-                    self.stats.evictions += 1;
-                }
-                self.sync_stats();
+        let victim = self.entries.iter().min_by_key(|(_, s)| s.last_used).map(|(key, _)| *key);
+        match victim.and_then(|key| self.entries.remove(&key)) {
+            Some(slot) => {
+                self.resident_bytes -= slot.footprint;
+                self.stats.evictions += 1;
                 true
             }
             None => false,
         }
     }
 
-    fn sync_stats(&mut self) {
-        self.stats.entries = self.entries.len();
-        self.stats.resident_bytes = self.resident_bytes;
-        self.stats.budget_bytes = self.budget_bytes;
-    }
-
     /// Current counters.
     pub fn stats(&self) -> CacheStats {
-        let mut s = self.stats;
-        s.entries = self.entries.len();
-        s.resident_bytes = self.resident_bytes;
-        s.budget_bytes = self.budget_bytes;
-        s
+        CacheStats {
+            entries: self.entries.len(),
+            resident_bytes: self.resident_bytes,
+            budget_bytes: self.budget_bytes,
+            ..self.stats
+        }
     }
 
     /// Bytes currently resident (the proptest invariant accessor).
@@ -316,6 +340,21 @@ mod tests {
         assert_eq!(s.misses, stats_before.misses);
         assert_eq!(s.hits, stats_before.hits + 1);
         assert!(cache.resident_bytes() <= cache.budget_bytes());
+    }
+
+    #[test]
+    fn retain_releases_the_dropped_entries_bytes() {
+        let (fp_a, a) = entry(8, 48);
+        let (fp_b, b) = entry(9, 48);
+        let b_bytes = b.footprint_bytes();
+        let mut cache = FormatCache::new(64 << 20);
+        cache.insert(fp_a, a);
+        cache.insert(fp_b, b);
+        assert_eq!(cache.retain(|fp| *fp != fp_a), 1);
+        assert!(cache.get(&fp_a).is_none());
+        assert!(cache.get(&fp_b).is_some());
+        let s = cache.stats();
+        assert_eq!((s.entries, s.resident_bytes, s.evictions), (1, b_bytes, 0));
     }
 
     #[test]

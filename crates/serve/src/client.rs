@@ -2,9 +2,10 @@
 //!
 //! Sockets carry read/write timeouts ([`DEFAULT_IO_TIMEOUT`]) so a
 //! silent or wedged server surfaces as an [`io::Error`] instead of
-//! hanging the caller forever, and [`ServeClient::spmm_retrying`] layers
-//! jittered exponential backoff plus reconnection over transient
-//! failures (dropped connections, corrupted frames, queue pushback).
+//! hanging the caller forever, and [`ServeClient::retrying`] layers
+//! jittered exponential backoff plus reconnection over the transient
+//! failures of any call (dropped connections, corrupted frames, queue
+//! pushback).
 
 use std::io;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -58,6 +59,27 @@ impl std::fmt::Display for ClientError {
 }
 
 impl std::error::Error for ClientError {}
+
+impl ClientError {
+    /// Whether the connection itself is suspect after this error —
+    /// transport trouble, a corrupted or short frame — as opposed to a
+    /// clean server-side rejection over a healthy stream.
+    pub fn needs_reconnect(&self) -> bool {
+        matches!(self, ClientError::Io(_) | ClientError::Proto(_) | ClientError::Unexpected(_))
+    }
+
+    /// Whether the same request is worth another attempt: anything a
+    /// fresh connection may cure, queue pushback, and internal server
+    /// failures (a crashed worker). What the server rejects
+    /// deterministically (bad dimensions, unknown matrix) is not.
+    pub fn retryable(&self) -> bool {
+        self.needs_reconnect()
+            || matches!(
+                self,
+                ClientError::Server { code: ErrorCode::Internal | ErrorCode::QueueFull, .. }
+            )
+    }
+}
 
 impl From<io::Error> for ClientError {
     fn from(e: io::Error) -> ClientError {
@@ -229,24 +251,15 @@ impl ServeClient {
     ) -> Result<ServeClient, ClientError> {
         let deadline = std::time::Instant::now() + timeout;
         loop {
-            match TcpStream::connect_timeout(addr, Duration::from_millis(250)) {
-                Ok(stream) => {
-                    configure(&stream, Some(DEFAULT_IO_TIMEOUT))?;
-                    let mut client = ServeClient {
-                        stream,
-                        addr: *addr,
-                        io_timeout: Some(DEFAULT_IO_TIMEOUT),
-                        connect_timeout: DEFAULT_CONNECT_TIMEOUT,
-                    };
+            match ServeClient::connect_with_timeout(addr, Duration::from_millis(250)) {
+                Ok(mut client) => {
                     if client.ping().is_ok() {
+                        client.connect_timeout = DEFAULT_CONNECT_TIMEOUT;
                         return Ok(client);
                     }
                 }
-                Err(e) => {
-                    if std::time::Instant::now() >= deadline {
-                        return Err(ClientError::Io(e));
-                    }
-                }
+                Err(e) if std::time::Instant::now() >= deadline => return Err(e),
+                Err(_) => {}
             }
             if std::time::Instant::now() >= deadline {
                 return Err(ClientError::Io(io::Error::new(
@@ -279,6 +292,32 @@ impl ServeClient {
         configure(&stream, self.io_timeout)?;
         self.stream = stream;
         Ok(())
+    }
+
+    /// Run `call` up to `attempts` times, sleeping the backoff's jittered
+    /// delay between tries and reconnecting after transport-level
+    /// failures. Only [`ClientError::retryable`] errors are retried;
+    /// anything else returns immediately, and when the attempts run out
+    /// the last error does.
+    pub fn retrying<T>(
+        &mut self,
+        attempts: u32,
+        backoff: &mut Backoff,
+        mut call: impl FnMut(&mut ServeClient) -> Result<T, ClientError>,
+    ) -> Result<T, ClientError> {
+        let mut tries = 1;
+        loop {
+            match call(self) {
+                Err(e) if e.retryable() && tries < attempts => {
+                    if e.needs_reconnect() {
+                        let _ = self.reconnect();
+                    }
+                    tries += 1;
+                    std::thread::sleep(backoff.next_delay());
+                }
+                done => return done,
+            }
+        }
     }
 
     fn call(&mut self, req: &Request) -> Result<Response, ClientError> {
@@ -357,44 +396,6 @@ impl ServeClient {
             }),
             other => Err(ClientError::Unexpected(format!("{other:?}"))),
         }
-    }
-
-    /// [`ServeClient::spmm`] with up to `attempts` tries, sleeping the
-    /// backoff's jittered delay between them and reconnecting after
-    /// transport-level failures. Retries transient errors only —
-    /// transport faults, corrupted frames, queue pushback, and internal
-    /// server failures (a crashed worker). Anything the server rejects
-    /// deterministically (bad dimensions, unknown matrix) returns
-    /// immediately.
-    #[allow(clippy::too_many_arguments)]
-    pub fn spmm_retrying(
-        &mut self,
-        tenant: &str,
-        matrix_id: u64,
-        b_rows: usize,
-        n: usize,
-        b: &[f32],
-        deadline_ms: u32,
-        attempts: u32,
-        backoff: &mut Backoff,
-    ) -> Result<SpmmResult, ClientError> {
-        let mut last: Option<ClientError> = None;
-        for attempt in 0..attempts.max(1) {
-            if attempt > 0 {
-                std::thread::sleep(backoff.next_delay());
-            }
-            match self.spmm(tenant, matrix_id, b_rows, n, b, deadline_ms) {
-                Ok(resp) => return Ok(resp),
-                Err(e) if retryable(&e) => {
-                    if needs_reconnect(&e) {
-                        let _ = self.reconnect();
-                    }
-                    last = Some(e);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Err(last.unwrap_or_else(|| ClientError::Unexpected("no attempt was made".into())))
     }
 
     /// Fetch the metrics JSON document.
@@ -557,20 +558,75 @@ impl ServeClient {
     }
 }
 
-/// Whether an error is worth another attempt.
-fn retryable(e: &ClientError) -> bool {
-    match e {
-        // Transport trouble and corrupted/short frames: the request may
-        // well succeed on a fresh connection.
-        ClientError::Io(_) | ClientError::Proto(_) | ClientError::Unexpected(_) => true,
-        ClientError::Server { code, .. } => {
-            matches!(code, ErrorCode::Internal | ErrorCode::QueueFull)
-        }
-    }
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::VecDeque;
+    use std::net::TcpListener;
 
-/// Whether the connection itself is suspect after this error (versus a
-/// clean server-side rejection over a healthy stream).
-fn needs_reconnect(e: &ClientError) -> bool {
-    matches!(e, ClientError::Io(_) | ClientError::Proto(_) | ClientError::Unexpected(_))
+    fn server_error(code: ErrorCode) -> ClientError {
+        ClientError::Server { code, message: String::new() }
+    }
+
+    /// Connections completed against `listener` that nobody accepted yet.
+    fn pending_connections(listener: &TcpListener) -> usize {
+        std::iter::from_fn(|| listener.accept().ok()).count()
+    }
+
+    /// `retrying` against a scripted sequence of call results: what is
+    /// retried, what reconnects first, what returns at once, and what
+    /// comes back when the attempts run out.
+    #[test]
+    fn retrying_follows_the_retry_policy() {
+        // A listener that never answers: dials complete in its backlog,
+        // so every (re)connect is one pending connection to count.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        listener.set_nonblocking(true).expect("nonblocking");
+        let mut client = ServeClient::connect(listener.local_addr().expect("addr")).expect("dial");
+        assert_eq!(pending_connections(&listener), 1);
+        let mut backoff = Backoff::new(Duration::from_micros(10), Duration::from_micros(20), 0);
+        let mut run = |attempts: u32, script: Vec<Result<u32, ClientError>>| {
+            let mut script = VecDeque::from(script);
+            backoff.reset();
+            let result = client.retrying(attempts, &mut backoff, |_| {
+                script.pop_front().expect("retrying called past the end of the script")
+            });
+            (result, script.len(), backoff.attempts())
+        };
+
+        // A transport error reconnects and retries; queue pushback and an
+        // internal failure retry over the connection they arrived on.
+        let broken = || ClientError::Io(io::Error::new(io::ErrorKind::BrokenPipe, "scripted"));
+        let (result, unused, delays) = run(
+            6,
+            vec![
+                Err(broken()),
+                Err(server_error(ErrorCode::QueueFull)),
+                Err(server_error(ErrorCode::Internal)),
+                Ok(7),
+            ],
+        );
+        assert_eq!((result.ok(), unused, delays), (Some(7), 0, 3));
+        assert_eq!(pending_connections(&listener), 1, "one reconnect, after the transport error");
+
+        // A deterministic rejection returns immediately.
+        let (result, unused, delays) =
+            run(6, vec![Err(server_error(ErrorCode::BadRequest)), Ok(1)]);
+        assert!(matches!(result, Err(ClientError::Server { code: ErrorCode::BadRequest, .. })));
+        assert_eq!((unused, delays), (1, 0));
+
+        // Attempts exhausted: the last error comes back, not the first.
+        let (result, unused, delays) = run(
+            3,
+            vec![
+                Err(server_error(ErrorCode::QueueFull)),
+                Err(server_error(ErrorCode::QueueFull)),
+                Err(server_error(ErrorCode::Internal)),
+                Ok(1),
+            ],
+        );
+        assert!(matches!(result, Err(ClientError::Server { code: ErrorCode::Internal, .. })));
+        assert_eq!((unused, delays), (1, 2));
+        assert_eq!(pending_connections(&listener), 0, "server-side errors never redial");
+    }
 }

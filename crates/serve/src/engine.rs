@@ -1,53 +1,41 @@
-//! The serving engine: registered matrices, a bounded request queue, and
-//! a micro-batching worker pool.
+//! The serving engine's front: its configuration, the [`ServeEngine`]
+//! facade every caller (TCP server, router shard, in-process client,
+//! benchmark) goes through, and the metrics document.
 //!
 //! The execution model mirrors what GNN-inference serving needs (the
 //! paper's Fig. 16 end-to-end setting): a graph's adjacency matrix is
-//! registered once, then answers many SpMM requests. The engine
-//!
-//! * admits requests into a **bounded queue** — a full queue rejects at
-//!   submit time (backpressure, not unbounded memory growth);
-//! * **micro-batches** adjacent requests against the same matrix, so the
-//!   per-launch setup (format resolution, cache traffic) is paid once per
-//!   batch rather than once per request;
-//! * sheds requests whose **deadline** expired while they queued;
-//! * **isolates panics** to the batch that caused them (the worker
-//!   survives), and a supervisor respawns any worker that dies anyway;
-//! * drains the queue on shutdown before joining the pool;
-//! * optionally **verifies** every response against the scalar CSR
-//!   reference and walks the `flashsparse::resilient` fallback ladder on
-//!   mismatch, with a per-matrix [`fs_chaos::CircuitBreaker`] that routes
-//!   persistently failing matrices straight to the trusted scalar path.
-//!
-//! Under an installed [`fs_chaos::FaultPlan`], workers additionally
-//! evaluate per-request kill/stall draws, exercising the supervisor and
-//! client retry machinery on demand.
+//! registered once, then answers many requests — SpMMs and whole GNN
+//! forward passes alike. Behind this facade sit [`crate::registry`] (what
+//! clients asked the server to keep, under count and byte budgets),
+//! [`crate::queue`] (the one executor: bounded admission, micro-batching,
+//! deadlines, panic isolation, chaos draws, drain — for every kind of
+//! job) and `execute` (what a worker does with a batch: format
+//! resolution, the overlapped cold path, the verify ladder and the
+//! per-matrix [`fs_chaos::CircuitBreaker`]).
 
-use std::collections::{HashMap, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard, OnceLock};
+use std::sync::Arc;
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use flashsparse::{
-    auto_tune, spmm_overlapped, spmm_resilient, ExecMode, FallbackLevel, SchedMode,
-    TranslatedMatrix, TuneChoice, VerifyPolicy,
-};
-use fs_chaos::{BreakerConfig, CircuitBreaker, FaultSite};
-use fs_matrix::{CsrMatrix, DenseMatrix};
-use fs_tcu::{GpuSpec, KernelCounters};
+use fs_chaos::CircuitBreaker;
+use fs_gnn::GnnWeights;
+use fs_matrix::CsrMatrix;
+use fs_tcu::GpuSpec;
 use fs_trace::export::JsonWriter;
 use parking_lot::{Mutex, RwLock};
 
-use crate::cache::{CacheStats, CachedFormat, FormatCache};
-use crate::fingerprint::Fingerprint;
+use crate::cache::{CacheStats, FormatCache};
 use crate::gnn_infer::{
     GnnConfig, GnnError, GnnInferRequest, GnnInferResponse, GnnModelInfo, GnnState,
 };
 use crate::metrics::{tenants_json, TenantStats};
-use fs_gnn::GnnWeights;
+use crate::queue::{admit, JobQueue, Outcome, Reply, Work, WorkerPool};
+use crate::registry::{Registered, Registry};
+
+pub use crate::queue::{SpmmOutcome, SpmmRequest, SpmmResponse, SubmitError, Ticket};
+pub use crate::registry::{MatrixInfo, RegisterError};
 
 /// Engine configuration.
 #[derive(Clone, Copy, Debug)]
@@ -124,243 +112,37 @@ impl Default for EngineConfig {
     }
 }
 
-/// What a registered matrix looks like to clients.
-#[derive(Clone, Copy, Debug)]
-pub struct MatrixInfo {
-    /// Engine-assigned handle used by subsequent requests.
-    pub id: u64,
-    /// Content fingerprint (the cache key — shared across tenants).
-    pub fingerprint: Fingerprint,
-    /// Rows of the sparse matrix.
-    pub rows: usize,
-    /// Columns of the sparse matrix.
-    pub cols: usize,
-    /// Nonzeros of the sparse matrix.
-    pub nnz: usize,
-}
-
-/// Why [`ServeEngine::register_matrix`] refused a matrix.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RegisterError {
-    /// The registry already holds `max_matrices` entries.
-    TooManyMatrices {
-        /// The configured count cap.
-        limit: usize,
-    },
-    /// Registering this matrix would exceed `max_matrix_bytes`.
-    ByteBudgetExceeded {
-        /// The configured byte cap.
-        limit: usize,
-        /// Bytes already resident.
-        resident: usize,
-        /// Bytes this matrix needs.
-        need: usize,
-    },
-}
-
-impl std::fmt::Display for RegisterError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RegisterError::TooManyMatrices { limit } => {
-                write!(f, "matrix registry full ({limit} matrices)")
-            }
-            RegisterError::ByteBudgetExceeded { limit, resident, need } => {
-                write!(
-                    f,
-                    "matrix registry byte budget exhausted ({resident} of {limit} bytes resident, \
-                     {need} more needed)"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for RegisterError {}
-
-/// Why a submit was refused at admission.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum SubmitError {
-    /// The bounded queue is full — retry later (backpressure).
-    QueueFull,
-    /// The engine is draining.
-    ShuttingDown,
-    /// No matrix registered under this id.
-    UnknownMatrix(u64),
-    /// The dense operand's row count must equal the matrix's column count.
-    DimensionMismatch {
-        /// Rows the operand must have.
-        expected_rows: usize,
-        /// Rows it had.
-        got: usize,
-    },
-}
-
-impl std::fmt::Display for SubmitError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SubmitError::QueueFull => write!(f, "queue full"),
-            SubmitError::ShuttingDown => write!(f, "shutting down"),
-            SubmitError::UnknownMatrix(id) => write!(f, "unknown matrix id {id}"),
-            SubmitError::DimensionMismatch { expected_rows, got } => {
-                write!(f, "dense operand has {got} rows, matrix needs {expected_rows}")
-            }
-        }
-    }
-}
-
-/// A successful SpMM execution.
-#[derive(Clone, Debug)]
-pub struct SpmmResponse {
-    /// The product, widened to f32.
-    pub out: DenseMatrix<f32>,
-    /// Counters of this request's kernel execution.
-    pub counters: KernelCounters,
-    /// Whether the translated format came from the cache.
-    pub cache_hit: bool,
-    /// Size of the micro-batch this request rode in.
-    pub batch_size: usize,
-    /// Microseconds spent queued before execution started.
-    pub queue_micros: u64,
-    /// Microseconds of kernel execution (batch-resolution included).
-    pub service_micros: u64,
-    /// Which rung of the fallback ladder produced the output.
-    pub fallback_level: FallbackLevel,
-    /// Whether the output was verified against (or produced by) the
-    /// scalar reference. `false` when the engine runs with `verify` off.
-    pub verified: bool,
-}
-
-/// Terminal state of an admitted request.
-#[derive(Clone, Debug)]
-pub enum SpmmOutcome {
-    /// Executed.
-    Done(SpmmResponse),
-    /// Shed: the deadline passed while the request was queued.
-    TimedOut,
-    /// A worker panic or internal error consumed the request.
-    Failed(String),
-}
-
-/// An SpMM request for [`ServeEngine::submit`].
-#[derive(Clone, Debug)]
-pub struct SpmmRequest {
-    /// Tenant the work is accounted to.
-    pub tenant: String,
-    /// Handle from [`ServeEngine::register_matrix`].
-    pub matrix_id: u64,
-    /// Dense operand (`matrix.cols × n`).
-    pub b: DenseMatrix<f32>,
-    /// Per-request deadline; `None` uses the engine default.
-    pub deadline: Option<Duration>,
-}
-
-/// Handle to an admitted request's eventual outcome.
-pub struct Ticket {
-    rx: mpsc::Receiver<SpmmOutcome>,
-}
-
-impl Ticket {
-    /// Block until the outcome arrives. A dropped worker (killed by an
-    /// escaped panic before replying) reports as `Failed`.
-    pub fn wait(self) -> SpmmOutcome {
-        self.rx
-            .recv()
-            .unwrap_or_else(|_| SpmmOutcome::Failed("response channel closed".to_string()))
-    }
-}
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum JobOp {
-    Spmm,
-    /// Test hook: panic inside the batch-execution unwind boundary.
-    PanicInBatch,
-    /// Test hook: panic outside it, killing the worker thread.
-    PanicWorker,
-}
-
-struct Job {
-    tenant: String,
-    matrix_id: u64,
-    op: JobOp,
-    b: DenseMatrix<f32>,
-    deadline: Instant,
-    enqueued: Instant,
-    tx: mpsc::Sender<SpmmOutcome>,
-}
-
-struct Registered {
-    fingerprint: Fingerprint,
-    csr: CsrMatrix<f32>,
-    /// Lazily built [`TuneChoice::FALLBACK`] translation — the middle
-    /// rung of the ladder. Built at most once per registered matrix, on
-    /// the first verification failure that needs it.
-    fallback: OnceLock<TranslatedMatrix>,
-}
-
-impl Registered {
-    fn fallback_format(&self) -> &TranslatedMatrix {
-        self.fallback.get_or_init(|| TranslatedMatrix::translate(&self.csr, &TuneChoice::FALLBACK))
-    }
-}
-
-/// Bytes a registered CSR keeps resident: row pointers, column indices,
-/// and values.
-fn csr_resident_bytes(csr: &CsrMatrix<f32>) -> usize {
-    (csr.rows() + 1) * std::mem::size_of::<usize>()
-        + csr.nnz() * (std::mem::size_of::<u32>() + std::mem::size_of::<f32>())
-}
-
-#[derive(Default)]
-struct Registry {
-    map: HashMap<u64, Arc<Registered>>,
-    resident_bytes: usize,
-}
-
-struct Inner {
-    cfg: EngineConfig,
-    queue: StdMutex<VecDeque<Job>>,
-    available: Condvar,
-    matrices: RwLock<Registry>,
-    cache: Mutex<FormatCache>,
-    tenants: Mutex<HashMap<String, TenantStats>>,
-    next_id: AtomicU64,
-    shutdown: AtomicBool,
-    worker_panics: AtomicU64,
-    worker_respawns: AtomicU64,
-    breakers: Mutex<HashMap<u64, CircuitBreaker>>,
-    verify_failures: AtomicU64,
-    fallbacks_default: AtomicU64,
-    fallbacks_scalar: AtomicU64,
-    breaker_bypasses: AtomicU64,
-    exec_fast: AtomicU64,
-    exec_simulate: AtomicU64,
-    validate_skips: AtomicU64,
-    overlaps: AtomicU64,
+/// Everything the facade, the workers and the background tuners share.
+pub(crate) struct Inner {
+    pub(crate) cfg: EngineConfig,
+    pub(crate) jobs: JobQueue,
+    pub(crate) matrices: RwLock<Registry<Registered>>,
+    pub(crate) cache: Mutex<FormatCache>,
+    pub(crate) tenants: Mutex<HashMap<String, TenantStats>>,
+    pub(crate) worker_panics: AtomicU64,
+    pub(crate) worker_respawns: AtomicU64,
+    pub(crate) breakers: Mutex<HashMap<u64, CircuitBreaker>>,
+    pub(crate) verify_failures: AtomicU64,
+    pub(crate) fallbacks_default: AtomicU64,
+    pub(crate) fallbacks_scalar: AtomicU64,
+    pub(crate) breaker_bypasses: AtomicU64,
+    pub(crate) exec_fast: AtomicU64,
+    pub(crate) exec_simulate: AtomicU64,
+    pub(crate) validate_skips: AtomicU64,
+    pub(crate) overlaps: AtomicU64,
     /// GNN serving state: model registry + embedding cache.
-    gnn: GnnState,
+    pub(crate) gnn: GnnState,
+    /// Test hook: the next GNN job panics inside the unwind boundary.
+    pub(crate) poison_gnn: AtomicBool,
     /// Background format-upgrade threads spawned by the overlapped cold
     /// path; reaped opportunistically and joined on shutdown.
-    background: Mutex<Vec<thread::JoinHandle<()>>>,
+    pub(crate) background: Mutex<Vec<thread::JoinHandle<()>>>,
 }
 
-impl Inner {
-    fn breaker_config(&self) -> BreakerConfig {
-        BreakerConfig { threshold: self.cfg.breaker_threshold, cooldown: self.cfg.breaker_cooldown }
-    }
-}
-
-/// Recover a guard from a poisoned std mutex: the queue holds plain data
-/// (no invariants spanning the lock), so continuing past a worker panic
-/// is sound and exactly what panic isolation wants.
-fn lock_recover<T>(m: &StdMutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// The multi-tenant batched SpMM serving engine.
+/// The multi-tenant batched serving engine.
 pub struct ServeEngine {
     inner: Arc<Inner>,
-    workers: Arc<Mutex<Vec<Option<thread::JoinHandle<()>>>>>,
-    monitor: Mutex<Option<thread::JoinHandle<()>>>,
+    pool: WorkerPool,
 }
 
 impl ServeEngine {
@@ -371,13 +153,10 @@ impl ServeEngine {
         let budget = if cfg.cold { 0 } else { cfg.cache_budget_bytes };
         let inner = Arc::new(Inner {
             cfg,
-            queue: StdMutex::new(VecDeque::new()),
-            available: Condvar::new(),
-            matrices: RwLock::new(Registry::default()),
+            jobs: JobQueue::new(cfg.queue_capacity, cfg.max_batch),
+            matrices: RwLock::new(Registry::new(cfg.max_matrices, cfg.max_matrix_bytes)),
             cache: Mutex::new(FormatCache::new(budget)),
             tenants: Mutex::new(HashMap::new()),
-            next_id: AtomicU64::new(1),
-            shutdown: AtomicBool::new(false),
             worker_panics: AtomicU64::new(0),
             worker_respawns: AtomicU64::new(0),
             breakers: Mutex::new(HashMap::new()),
@@ -390,13 +169,11 @@ impl ServeEngine {
             validate_skips: AtomicU64::new(0),
             overlaps: AtomicU64::new(0),
             gnn: GnnState::new(cfg.gnn),
+            poison_gnn: AtomicBool::new(false),
             background: Mutex::new(Vec::new()),
         });
-        let workers = Arc::new(Mutex::new(
-            (0..cfg.workers).map(|_| Some(spawn_worker(Arc::clone(&inner)))).collect::<Vec<_>>(),
-        ));
-        let monitor = spawn_monitor(Arc::clone(&inner), Arc::clone(&workers));
-        ServeEngine { inner, workers, monitor: Mutex::new(Some(monitor)) }
+        let pool = WorkerPool::start(&inner);
+        ServeEngine { inner, pool }
     }
 
     /// Register a CSR matrix; returns the handle requests refer to. The
@@ -409,37 +186,16 @@ impl ServeEngine {
         _tenant: &str,
         csr: CsrMatrix<f32>,
     ) -> Result<MatrixInfo, RegisterError> {
-        let need = csr_resident_bytes(&csr);
-        let fingerprint = Fingerprint::of(&csr);
-        let mut registry = self.inner.matrices.write();
-        if registry.map.len() >= self.inner.cfg.max_matrices {
-            return Err(RegisterError::TooManyMatrices { limit: self.inner.cfg.max_matrices });
-        }
-        if need > self.inner.cfg.max_matrix_bytes.saturating_sub(registry.resident_bytes) {
-            return Err(RegisterError::ByteBudgetExceeded {
-                limit: self.inner.cfg.max_matrix_bytes,
-                resident: registry.resident_bytes,
-                need,
-            });
-        }
-        let info = MatrixInfo {
-            id: self.inner.next_id.fetch_add(1, Ordering::Relaxed),
-            fingerprint,
-            rows: csr.rows(),
-            cols: csr.cols(),
-            nnz: csr.nnz(),
-        };
-        registry.resident_bytes += need;
-        registry
-            .map
-            .insert(info.id, Arc::new(Registered { fingerprint, csr, fallback: OnceLock::new() }));
-        Ok(info)
+        let (rows, cols, nnz) = (csr.rows(), csr.cols(), csr.nnz());
+        let reg = Registered::new(csr);
+        let fingerprint = reg.fingerprint;
+        let id = self.inner.matrices.write().insert(reg)?;
+        Ok(MatrixInfo { id, fingerprint, rows, cols, nnz })
     }
 
     /// Registered-matrix totals: `(count, resident CSR bytes)`.
     pub fn registered_stats(&self) -> (usize, usize) {
-        let registry = self.inner.matrices.read();
-        (registry.map.len(), registry.resident_bytes)
+        self.inner.matrices.read().stats()
     }
 
     /// Every resident matrix as `(fingerprint_hi, fingerprint_lo, id)`,
@@ -448,9 +204,8 @@ impl ServeEngine {
     pub fn resident_matrices(&self) -> Vec<(u64, u64, u64)> {
         let registry = self.inner.matrices.read();
         let mut out: Vec<(u64, u64, u64)> = registry
-            .map
             .iter()
-            .map(|(&id, reg)| (reg.fingerprint.hi(), reg.fingerprint.lo(), id))
+            .map(|(id, reg)| (reg.fingerprint.hi(), reg.fingerprint.lo(), id))
             .collect();
         out.sort_unstable_by_key(|&(_, _, id)| id);
         out
@@ -460,36 +215,24 @@ impl ServeEngine {
     /// iteration order — the repair path's source copy. `None` when the
     /// id is unknown.
     pub fn export_matrix(&self, matrix_id: u64) -> Option<(usize, usize, Vec<(u32, u32, f32)>)> {
-        let reg = self.inner.matrices.read().map.get(&matrix_id).cloned()?;
+        let reg = self.inner.matrices.read().get(matrix_id)?;
         let csr = &reg.csr;
-        let mut entries = Vec::with_capacity(csr.nnz());
-        for r in 0..csr.rows() {
-            for (&c, &v) in csr.row_cols(r).iter().zip(csr.row_values(r)) {
-                entries.push((r as u32, c, v)); // lint: checked-cast rows capped at u32 by Load
-            }
-        }
+        // lint: checked-cast - rows and cols are capped at u32 by Load
+        let entries = csr.iter().map(|(r, c, v)| (r as u32, c as u32, v)).collect();
         Some((csr.rows(), csr.cols(), entries))
     }
 
-    /// Drop a registered matrix, releasing its resident-byte budget and
-    /// its circuit breaker. Returns whether it existed. In-flight
+    /// Drop a registered matrix, releasing its resident-byte budget, its
+    /// circuit breaker, and every GNN model bound to it as a graph (with
+    /// their cached embeddings). Returns whether it existed. In-flight
     /// requests holding the `Arc` finish against the old copy.
     pub fn evict_matrix(&self, matrix_id: u64) -> bool {
-        let mut registry = self.inner.matrices.write();
-        match registry.map.remove(&matrix_id) {
-            Some(reg) => {
-                registry.resident_bytes =
-                    registry.resident_bytes.saturating_sub(csr_resident_bytes(&reg.csr));
-                drop(registry);
-                self.inner.breakers.lock().remove(&matrix_id);
-                // Models bound to the evicted graph keep their weights but
-                // lose their cached embeddings: the graph can come back
-                // under a different id with different content.
-                self.inner.gnn.invalidate_matrix(matrix_id);
-                true
-            }
-            None => false,
+        let existed = self.inner.matrices.write().remove(matrix_id).is_some();
+        if existed {
+            self.inner.breakers.lock().remove(&matrix_id);
+            self.inner.gnn.evict_graph(matrix_id);
         }
+        existed
     }
 
     /// Register GNN model weights bound to an already-registered graph
@@ -501,52 +244,35 @@ impl ServeEngine {
         matrix_id: u64,
         weights: GnnWeights,
     ) -> Result<GnnModelInfo, GnnError> {
-        let reg = self
-            .inner
-            .matrices
-            .read()
-            .map
-            .get(&matrix_id)
-            .cloned()
-            .ok_or(GnnError::UnknownGraph(matrix_id))?;
-        self.inner.gnn.register(matrix_id, reg.csr.rows(), weights)
+        if self.inner.matrices.read().get(matrix_id).is_none() {
+            return Err(GnnError::UnknownGraph(matrix_id));
+        }
+        self.inner.gnn.register(matrix_id, weights)
     }
 
     /// Run one GNN inference: a full multi-layer forward pass over the
     /// model's registered graph at the requested precision, returning
     /// scores for the requested nodes (all nodes when `node_ids` is
-    /// empty). Synchronous — GNN inference is latency-bound on the
-    /// forward pass itself, so it bypasses the SpMM micro-batch queue;
-    /// the deadline is still honored (checked after execution).
+    /// empty). The inference is one job on the engine's queue — admitted,
+    /// shed, isolated, drained and accounted exactly like an SpMM — and
+    /// this call blocks until a worker has answered it.
     pub fn gnn_infer(&self, req: GnnInferRequest) -> Result<GnnInferResponse, GnnError> {
-        if self.inner.shutdown.load(Ordering::Acquire) {
-            return Err(GnnError::Internal("shutting down".into()));
-        }
-        let matrix_id =
+        let graph =
             self.inner.gnn.model_graph(req.model_id).ok_or(GnnError::UnknownModel(req.model_id))?;
-        let reg = self
-            .inner
-            .matrices
-            .read()
-            .map
-            .get(&matrix_id)
-            .cloned()
-            .ok_or(GnnError::UnknownGraph(matrix_id))?;
-        let deadline = req.deadline.unwrap_or(self.inner.cfg.default_deadline);
-        let started = Instant::now();
-        let out = self.inner.gnn.infer(
-            req.model_id,
-            &reg.csr,
-            self.inner.cfg.gpu,
-            self.inner.cfg.verify,
-            req.precision,
-            &req.node_ids,
-            &req.features,
-        )?;
-        if started.elapsed() > deadline {
-            return Err(GnnError::DeadlineExceeded);
+        let (tenant, deadline) = (req.tenant.clone(), req.deadline);
+        let ticket =
+            admit(&self.inner, &tenant, graph, deadline, Work::Gnn(req)).map_err(|e| match e {
+                SubmitError::QueueFull => GnnError::QueueFull,
+                other => GnnError::Internal(other.to_string()),
+            })?;
+        match ticket.wait_reply() {
+            Outcome::Done(Reply::Gnn(result)) => result,
+            Outcome::Done(Reply::Spmm(_)) => {
+                Err(GnnError::Internal("reply of the wrong kind".into()))
+            }
+            Outcome::TimedOut => Err(GnnError::DeadlineExceeded),
+            Outcome::Failed(why) => Err(GnnError::Internal(why)),
         }
-        Ok(out)
     }
 
     /// Registered-model totals: `(count, resident parameter bytes)`.
@@ -556,16 +282,11 @@ impl ServeEngine {
 
     /// Admit a request. `Err` means the request was *not* queued.
     pub fn submit(&self, req: SpmmRequest) -> Result<Ticket, SubmitError> {
-        if self.inner.shutdown.load(Ordering::Acquire) {
-            return Err(SubmitError::ShuttingDown);
-        }
         let reg = self
             .inner
             .matrices
             .read()
-            .map
-            .get(&req.matrix_id)
-            .cloned()
+            .get(req.matrix_id)
             .ok_or(SubmitError::UnknownMatrix(req.matrix_id))?;
         if req.b.rows() != reg.csr.cols() {
             return Err(SubmitError::DimensionMismatch {
@@ -573,50 +294,7 @@ impl ServeEngine {
                 got: req.b.rows(),
             });
         }
-        let (tx, rx) = mpsc::channel();
-        let now = Instant::now();
-        let job = Job {
-            tenant: req.tenant.clone(),
-            matrix_id: req.matrix_id,
-            op: JobOp::Spmm,
-            b: req.b,
-            deadline: now + req.deadline.unwrap_or(self.inner.cfg.default_deadline),
-            enqueued: now,
-            tx,
-        };
-        self.enqueue(job, &req.tenant)?;
-        Ok(Ticket { rx })
-    }
-
-    fn enqueue(&self, job: Job, tenant: &str) -> Result<(), SubmitError> {
-        let accepted = {
-            let mut q = lock_recover(&self.inner.queue);
-            // Re-check shutdown *under the queue lock*: a worker only
-            // exits after observing empty-queue + shutdown while holding
-            // this lock, so a push that wins the lock before that
-            // observation is guaranteed to be drained, and one that loses
-            // it is rejected here instead of stranding the caller.
-            if self.inner.shutdown.load(Ordering::Acquire) {
-                return Err(SubmitError::ShuttingDown);
-            }
-            if q.len() >= self.inner.cfg.queue_capacity {
-                false
-            } else {
-                q.push_back(job);
-                true
-            }
-        };
-        let mut tenants = self.inner.tenants.lock();
-        let stats = tenants.entry(tenant.to_string()).or_default();
-        if accepted {
-            stats.submitted += 1;
-            drop(tenants);
-            self.inner.available.notify_one();
-            Ok(())
-        } else {
-            stats.rejected += 1;
-            Err(SubmitError::QueueFull)
-        }
+        admit(&self.inner, &req.tenant, req.matrix_id, req.deadline, Work::Spmm(req.b))
     }
 
     /// Submit and block for the outcome — the in-process client API.
@@ -635,19 +313,17 @@ impl ServeEngine {
         matrix_id: u64,
         escape_worker: bool,
     ) -> Result<Ticket, SubmitError> {
-        let (tx, rx) = mpsc::channel();
-        let now = Instant::now();
-        let job = Job {
-            tenant: tenant.to_string(),
-            matrix_id,
-            op: if escape_worker { JobOp::PanicWorker } else { JobOp::PanicInBatch },
-            b: DenseMatrix::zeros(0, 0),
-            deadline: now + self.inner.cfg.default_deadline,
-            enqueued: now,
-            tx,
-        };
-        self.enqueue(job, tenant)?;
-        Ok(Ticket { rx })
+        let work = if escape_worker { Work::PanicWorker } else { Work::PanicInBatch };
+        admit(&self.inner, tenant, matrix_id, None, work)
+    }
+
+    /// Test hook: the next GNN inference a worker picks up panics inside
+    /// the batch unwind boundary — the GNN counterpart of
+    /// [`ServeEngine::submit_poison`], armed ahead of time so the doomed
+    /// request can arrive over TCP.
+    #[doc(hidden)]
+    pub fn poison_next_gnn_infer(&self) {
+        self.inner.poison_gnn.store(true, Ordering::SeqCst);
     }
 
     /// Snapshot of the format-cache counters.
@@ -693,7 +369,7 @@ impl ServeEngine {
     }
 
     /// Overlapped cold-path executions: one per cache-missing batch the
-    /// pipelined engine answered via [`spmm_overlapped`].
+    /// pipelined engine answered via [`flashsparse::spmm_overlapped`].
     pub fn overlap_count(&self) -> u64 {
         self.inner.overlaps.load(Ordering::Relaxed)
     }
@@ -705,7 +381,7 @@ impl ServeEngine {
 
     /// Requests currently queued.
     pub fn queue_len(&self) -> usize {
-        lock_recover(&self.inner.queue).len()
+        self.inner.jobs.len()
     }
 
     /// The whole metrics document: cache, engine, resilience, chaos, and
@@ -771,29 +447,12 @@ impl ServeEngine {
     /// Graceful drain: stop admitting, let workers finish the queue, join
     /// the pool. Idempotent.
     pub fn shutdown(&self) {
-        self.inner.shutdown.store(true, Ordering::Release);
-        self.inner.available.notify_all();
-        if let Some(m) = self.monitor.lock().take() {
-            let _ = m.join();
-        }
-        let handles: Vec<thread::JoinHandle<()>> =
-            self.workers.lock().iter_mut().filter_map(Option::take).collect();
-        for h in handles {
-            let _ = h.join();
-        }
-        // Join background tuners after the workers: the shutdown flag is
-        // already set, so each one bails at its next checkpoint.
+        self.pool.shutdown(&self.inner);
+        // Join background tuners after the workers: the queue is closed,
+        // so each one bails at its next checkpoint.
         let tuners: Vec<thread::JoinHandle<()>> = self.inner.background.lock().drain(..).collect();
         for h in tuners {
             let _ = h.join();
-        }
-        // Belt and braces for the submit/shutdown race: fail any job that
-        // slipped into the queue after the workers drained it, so no
-        // `Ticket::wait` blocks forever on a sender parked in the queue.
-        let leftovers: Vec<Job> = lock_recover(&self.inner.queue).drain(..).collect();
-        for job in leftovers {
-            self.inner.tenants.lock().entry(job.tenant.clone()).or_default().failed += 1;
-            let _ = job.tx.send(SpmmOutcome::Failed("engine shut down before execution".into()));
         }
     }
 }
@@ -804,434 +463,13 @@ impl Drop for ServeEngine {
     }
 }
 
-fn spawn_worker(inner: Arc<Inner>) -> thread::JoinHandle<()> {
-    thread::Builder::new()
-        .name("fs-serve-worker".to_string())
-        .spawn(move || worker_loop(&inner))
-        .unwrap_or_else(|e| panic!("failed to spawn worker thread: {e}")) // lint: allow-panic - thread spawn failure at startup is unrecoverable
-}
-
-fn spawn_monitor(
-    inner: Arc<Inner>,
-    workers: Arc<Mutex<Vec<Option<thread::JoinHandle<()>>>>>,
-) -> thread::JoinHandle<()> {
-    thread::Builder::new()
-        .name("fs-serve-monitor".to_string())
-        .spawn(move || {
-            while !inner.shutdown.load(Ordering::Acquire) {
-                {
-                    let mut pool = workers.lock();
-                    for slot in pool.iter_mut() {
-                        let dead = slot.as_ref().is_some_and(|h| h.is_finished());
-                        if dead && !inner.shutdown.load(Ordering::Acquire) {
-                            if let Some(h) = slot.take() {
-                                // The worker died from an escaped panic:
-                                // count it and put a fresh one in its slot.
-                                let _ = h.join();
-                                inner.worker_panics.fetch_add(1, Ordering::Relaxed);
-                                inner.worker_respawns.fetch_add(1, Ordering::Relaxed);
-                                *slot = Some(spawn_worker(Arc::clone(&inner)));
-                            }
-                        }
-                    }
-                }
-                thread::sleep(Duration::from_millis(20));
-            }
-        })
-        .unwrap_or_else(|e| panic!("failed to spawn monitor thread: {e}")) // lint: allow-panic - thread spawn failure at startup is unrecoverable
-}
-
-fn worker_loop(inner: &Arc<Inner>) {
-    loop {
-        let Some(batch) = next_batch(inner) else { return };
-        if fs_chaos::chaos_enabled() {
-            chaos_worker_faults(&batch);
-        }
-        // The PanicWorker test hook escapes the unwind boundary on
-        // purpose: the thread dies and the supervisor must respawn it.
-        if batch.iter().any(|j| j.op == JobOp::PanicWorker) {
-            panic!("poison request escaped the batch boundary (test hook)");
-        }
-        run_batch(inner, batch);
-    }
-}
-
-/// Evaluate the worker-level chaos draws — one stall and one kill draw
-/// *per job*, all up front, so the evaluation count depends only on how
-/// many requests flowed through, never on batch composition or on an
-/// early kill. A fired kill panics out of the worker loop (outside the
-/// batch unwind boundary): the jobs in hand drop, their clients see a
-/// failure, and the supervisor respawns the slot — exactly the crash the
-/// retry machinery must absorb.
-#[cold]
-fn chaos_worker_faults(batch: &[Job]) {
-    let mut stalls = 0u32;
-    let mut killed = false;
-    for _ in batch {
-        if fs_chaos::draw(FaultSite::WorkerStall).is_some() {
-            stalls += 1;
-        }
-        if fs_chaos::draw(FaultSite::WorkerKill).is_some() {
-            killed = true;
-        }
-    }
-    if stalls > 0 {
-        thread::sleep(fs_chaos::stall_duration() * stalls);
-    }
-    if killed {
-        panic!("chaos: worker kill injected"); // lint: allow-panic - injected crash; the supervisor respawns the worker
-    }
-}
-
-/// Pop the next micro-batch: the frontmost job plus up to `max_batch - 1`
-/// queued jobs against the same matrix (in arrival order). Blocks while
-/// the queue is empty; returns `None` once the engine drains.
-fn next_batch(inner: &Arc<Inner>) -> Option<Vec<Job>> {
-    let mut q = lock_recover(&inner.queue);
-    loop {
-        if let Some(first) = q.pop_front() {
-            let matrix_id = first.matrix_id;
-            let mut batch = vec![first];
-            let mut i = 0;
-            while i < q.len() && batch.len() < inner.cfg.max_batch {
-                if q[i].matrix_id == matrix_id && q[i].op == JobOp::Spmm {
-                    if let Some(job) = q.remove(i) {
-                        batch.push(job);
-                    }
-                } else {
-                    i += 1;
-                }
-            }
-            return Some(batch);
-        }
-        if inner.shutdown.load(Ordering::Acquire) {
-            return None;
-        }
-        let (guard, _) = inner
-            .available
-            .wait_timeout(q, Duration::from_millis(50))
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        q = guard;
-    }
-}
-
-fn run_batch(inner: &Arc<Inner>, batch: Vec<Job>) {
-    let now = Instant::now();
-    let mut live: Vec<Job> = Vec::with_capacity(batch.len());
-    for job in batch {
-        if now > job.deadline {
-            inner.tenants.lock().entry(job.tenant.clone()).or_default().timed_out += 1;
-            let _ = job.tx.send(SpmmOutcome::TimedOut);
-        } else {
-            live.push(job);
-        }
-    }
-    if live.is_empty() {
-        return;
-    }
-    let batch_size = live.len();
-    let _batch_span = fs_trace::span(fs_trace::Site::ServeBatch);
-    let started = Instant::now();
-    // lint: counted-catch - Err is counted into worker_panics below and the monitor respawns the worker
-    let result = catch_unwind(AssertUnwindSafe(|| execute_batch(inner, &live)));
-    let service_micros = started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-
-    match result {
-        Ok((outputs, cache_hit)) => {
-            for (job, exec) in live.into_iter().zip(outputs) {
-                let queued = started.duration_since(job.enqueued);
-                fs_trace::record_duration(fs_trace::Site::ServeQueue, queued);
-                let queue_micros = queued.as_micros().min(u128::from(u64::MAX)) as u64;
-                {
-                    let mut tenants = inner.tenants.lock();
-                    let t = tenants.entry(job.tenant.clone()).or_default();
-                    t.completed += 1;
-                    t.counters += exec.counters;
-                }
-                let _ = job.tx.send(SpmmOutcome::Done(SpmmResponse {
-                    out: exec.out,
-                    counters: exec.counters,
-                    cache_hit,
-                    batch_size,
-                    queue_micros,
-                    service_micros,
-                    fallback_level: exec.fallback_level,
-                    verified: exec.verified,
-                }));
-            }
-        }
-        Err(_) => {
-            inner.worker_panics.fetch_add(1, Ordering::Relaxed);
-            for job in live {
-                inner.tenants.lock().entry(job.tenant.clone()).or_default().failed += 1;
-                let _ = job
-                    .tx
-                    .send(SpmmOutcome::Failed("worker panicked during batch execution".into()));
-            }
-        }
-    }
-}
-
-/// One executed request: the output plus its provenance.
-struct Executed {
-    out: DenseMatrix<f32>,
-    counters: KernelCounters,
-    fallback_level: FallbackLevel,
-    verified: bool,
-}
-
-/// Resolve the translated format for the batch (cache hit or
-/// translate + tune), then run every request against it — through the
-/// verify-and-fall-back ladder when the engine runs with `verify` on.
-fn execute_batch(inner: &Arc<Inner>, batch: &[Job]) -> (Vec<Executed>, bool) {
-    let _span = fs_trace::span(fs_trace::Site::ServeExecute);
-    let matrix_id = batch[0].matrix_id;
-    let reg = inner
-        .matrices
-        .read()
-        .map
-        .get(&matrix_id)
-        .cloned()
-        .unwrap_or_else(|| panic!("matrix {matrix_id} disappeared")); // lint: allow-panic - registration precedes admission; caught by the batch unwind boundary
-    let mut batches_stats = inner.tenants.lock();
-    for job in batch {
-        let t = batches_stats.entry(job.tenant.clone()).or_default();
-        t.batches += 1;
-        t.max_batch = t.max_batch.max(batch.len() as u64);
-    }
-    drop(batches_stats);
-
-    // An open breaker routes the whole batch to the trusted scalar path
-    // without touching the TCU (or the cache — no format resolution).
-    if inner.cfg.verify && breaker_bypasses(inner, matrix_id) {
-        inner.breaker_bypasses.fetch_add(batch.len() as u64, Ordering::Relaxed);
-        let outputs = batch
-            .iter()
-            .map(|job| {
-                if job.op == JobOp::PanicInBatch {
-                    panic!("poison request (test hook)");
-                }
-                Executed {
-                    out: reg.csr.spmm_reference(&job.b),
-                    counters: KernelCounters::default(),
-                    fallback_level: FallbackLevel::Scalar,
-                    verified: true,
-                }
-            })
-            .collect();
-        return (outputs, false);
-    }
-
-    let n_hint = batch[0].b.cols().max(1);
-    // One mode decision per batch: the switches it reads are process-wide
-    // and launch-independent, so every launch below shares it.
-    let mode = ExecMode::auto();
-    // The overlapped cold path only serves plain fast-mode SpMM: verify
-    // needs the resilient ladder, simulate needs the classic dispatch,
-    // and poison test hooks must panic inside the ordinary batch body.
-    let overlap_ok = inner.cfg.pipeline
-        && !inner.cfg.verify
-        && mode.is_fast()
-        && batch.iter().all(|j| j.op == JobOp::Spmm);
-    let (format, cache_hit) = if overlap_ok {
-        // Peek the cache directly: a hit is the ordinary warm path, a
-        // miss hands the whole batch to the overlapped engine (which
-        // does its own translate), so resolve_format's tune+translate
-        // must not run here.
-        let peek = inner.cache.lock().get(&reg.fingerprint);
-        match peek {
-            Some(hit) => {
-                fs_trace::add(fs_trace::TraceCounter::CacheHits, 1);
-                (hit, true)
-            }
-            None => {
-                fs_trace::add(fs_trace::TraceCounter::CacheMisses, 1);
-                return execute_overlapped(inner, &reg, batch, n_hint);
-            }
-        }
-    } else {
-        resolve_format(inner, &reg, n_hint)
-    };
-    match mode {
-        ExecMode::Fast => inner.exec_fast.fetch_add(batch.len() as u64, Ordering::Relaxed),
-        ExecMode::Simulate => inner.exec_simulate.fetch_add(batch.len() as u64, Ordering::Relaxed),
-    };
-    if mode.is_fast() && format.translated.is_validated() {
-        // Fast launches on a witnessed cached format skip the per-launch
-        // validation walk entirely — the cache's validate-once payoff.
-        inner.validate_skips.fetch_add(batch.len() as u64, Ordering::Relaxed);
-    }
-    let policy = VerifyPolicy {
-        sample_rows: inner.cfg.verify_sample_rows,
-        tolerance: inner.cfg.verify_tolerance,
-    };
-    let outputs = batch
-        .iter()
-        .map(|job| {
-            if job.op == JobOp::PanicInBatch {
-                panic!("poison request (test hook)");
-            }
-            if inner.cfg.verify {
-                let (out, counters, report) = spmm_resilient(
-                    &reg.csr,
-                    &format.translated,
-                    &format.choice,
-                    Some(reg.fallback_format()),
-                    &job.b,
-                    &policy,
-                );
-                record_resilience(inner, matrix_id, &report);
-                Executed { out, counters, fallback_level: report.level, verified: true }
-            } else {
-                let (out, counters) = format.translated.spmm_f32(&job.b, format.choice.mapping);
-                Executed { out, counters, fallback_level: FallbackLevel::Tuned, verified: false }
-            }
-        })
-        .collect();
-    (outputs, cache_hit)
-}
-
-/// The overlapped cold path: the first request of the batch executes via
-/// [`spmm_overlapped`] — SpMM runs over ME-BCRS slabs as the translation
-/// of the *next* slab proceeds concurrently, with no auto-tune on the
-/// critical path — and the remaining requests reuse the assembled
-/// translation. The FALLBACK-variant result is cached immediately so the
-/// very next request hits, and a background thread upgrades the entry to
-/// the auto-tuned variant. Responses carry `FallbackLevel::Default`
-/// because that is what ran: the default variant, not the tuned one.
-fn execute_overlapped(
-    inner: &Arc<Inner>,
-    reg: &Arc<Registered>,
-    batch: &[Job],
-    n_hint: usize,
-) -> (Vec<Executed>, bool) {
-    inner.overlaps.fetch_add(1, Ordering::Relaxed);
-    inner.exec_fast.fetch_add(batch.len() as u64, Ordering::Relaxed);
-    let choice = TuneChoice::FALLBACK;
-    let sched = SchedMode::auto();
-    let (first_out, first_counters, translated) =
-        spmm_overlapped(&reg.csr, &batch[0].b, &choice, sched);
-    let format = CachedFormat { translated, choice };
-    if format.translated.is_validated() {
-        // The slab translations were validated as they streamed in; the
-        // assembled format keeps the witness, so every launch in this
-        // batch skips the per-launch validation walk.
-        inner.validate_skips.fetch_add(batch.len() as u64, Ordering::Relaxed);
-    }
-    let mut outputs = Vec::with_capacity(batch.len());
-    outputs.push(Executed {
-        out: first_out,
-        counters: first_counters,
-        fallback_level: FallbackLevel::Default,
-        verified: false,
-    });
-    for job in &batch[1..] {
-        let (out, counters) = format.translated.spmm_f32(&job.b, choice.mapping);
-        outputs.push(Executed {
-            out,
-            counters,
-            fallback_level: FallbackLevel::Default,
-            verified: false,
-        });
-    }
-    if !inner.cfg.cold {
-        inner.cache.lock().insert(reg.fingerprint, format);
-        spawn_background_tune(inner, Arc::clone(reg), n_hint);
-    }
-    (outputs, false)
-}
-
-/// Upgrade the cached FALLBACK entry to the auto-tuned variant off the
-/// request path. Shutdown is checked before each expensive step so a
-/// draining engine is not held up by a tuner mid-flight; a failed spawn
-/// just skips the upgrade (the FALLBACK entry keeps serving).
-fn spawn_background_tune(inner: &Arc<Inner>, reg: Arc<Registered>, n_hint: usize) {
-    let tuner_inner = Arc::clone(inner);
-    let spawned = thread::Builder::new().name("fs-serve-tuner".to_string()).spawn(move || {
-        if tuner_inner.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        let choice = auto_tune(&reg.csr, n_hint, tuner_inner.cfg.gpu);
-        if tuner_inner.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        let translated = TranslatedMatrix::translate(&reg.csr, &choice);
-        tuner_inner.cache.lock().replace(reg.fingerprint, CachedFormat { translated, choice });
-    });
-    let Ok(handle) = spawned else { return };
-    // Reap finished tuners while we hold the lock anyway, so the handle
-    // vector stays bounded by the number of in-flight upgrades.
-    let mut background = inner.background.lock();
-    let mut keep = Vec::with_capacity(background.len() + 1);
-    for h in background.drain(..) {
-        if h.is_finished() {
-            let _ = h.join();
-        } else {
-            keep.push(h);
-        }
-    }
-    keep.push(handle);
-    *background = keep;
-}
-
-fn breaker_bypasses(inner: &Arc<Inner>, matrix_id: u64) -> bool {
-    let cfg = inner.breaker_config();
-    let mut breakers = inner.breakers.lock();
-    breakers
-        .entry(matrix_id)
-        .or_insert_with(|| CircuitBreaker::new(cfg))
-        .should_bypass(Instant::now())
-}
-
-fn record_resilience(inner: &Arc<Inner>, matrix_id: u64, report: &flashsparse::ResilientReport) {
-    inner.verify_failures.fetch_add(u64::from(report.verify_failures), Ordering::Relaxed);
-    match report.level {
-        FallbackLevel::Tuned => {}
-        FallbackLevel::Default => {
-            inner.fallbacks_default.fetch_add(1, Ordering::Relaxed);
-        }
-        FallbackLevel::Scalar => {
-            inner.fallbacks_scalar.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-    let cfg = inner.breaker_config();
-    let mut breakers = inner.breakers.lock();
-    let breaker = breakers.entry(matrix_id).or_insert_with(|| CircuitBreaker::new(cfg));
-    if report.verify_failures > 0 {
-        breaker.record_failure(Instant::now());
-        drop(breakers);
-        // The matrix's kernel output failed verification, so GNN
-        // embeddings aggregated over it are no longer trusted either:
-        // drop them so the next inference recomputes from scratch
-        // (possibly on the scalar path the breaker now routes to).
-        inner.gnn.invalidate_matrix(matrix_id);
-    } else {
-        breaker.record_success();
-    }
-}
-
-fn resolve_format(
-    inner: &Arc<Inner>,
-    reg: &Registered,
-    n_hint: usize,
-) -> (Arc<CachedFormat>, bool) {
-    if let Some(hit) = inner.cache.lock().get(&reg.fingerprint) {
-        fs_trace::add(fs_trace::TraceCounter::CacheHits, 1);
-        return (hit, true);
-    }
-    fs_trace::add(fs_trace::TraceCounter::CacheMisses, 1);
-    // Miss: translate and tune *outside* the cache lock — this is the
-    // expensive path the cache exists to amortize.
-    let choice = auto_tune(&reg.csr, n_hint, inner.cfg.gpu);
-    let translated = TranslatedMatrix::translate(&reg.csr, &choice);
-    let arc = inner.cache.lock().insert(reg.fingerprint, CachedFormat { translated, choice });
-    (arc, false)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flashsparse::FallbackLevel;
     use fs_matrix::gen::random_uniform;
+    use fs_matrix::DenseMatrix;
+    use std::time::Instant;
 
     fn engine(cfg: EngineConfig) -> (ServeEngine, MatrixInfo, CsrMatrix<f32>) {
         let e = ServeEngine::start(cfg);
@@ -1421,7 +659,7 @@ mod tests {
     #[test]
     fn registry_byte_cap_rejects() {
         let csr = CsrMatrix::from_coo(&random_uniform::<f32>(32, 32, 100, 1));
-        let one = csr_resident_bytes(&csr);
+        let one = crate::cache::Footprint::footprint_bytes(&Registered::new(csr.clone()));
         let e = ServeEngine::start(EngineConfig {
             max_matrix_bytes: one + one / 2,
             ..EngineConfig::default()

@@ -9,13 +9,19 @@
 //! or FP16, selected per request (the paper's Table 8 accuracy/latency
 //! tradeoff as a serving SLA knob).
 //!
-//! Three protections mirror the engine's matrix handling:
+//! An inference is a job on the engine's queue like any SpMM: admitted
+//! against the queue's capacity, shed at dequeue if its deadline passed,
+//! run by a worker inside the batch unwind boundary, drained on shutdown
+//! and accounted to its tenant. Around the forward pass this module uses
+//! the engine's own machinery rather than copies of it:
 //!
-//! * **Budgets** — model count and parameter bytes are capped like the
-//!   matrix registry's, so clients cannot grow server memory unbounded.
-//! * **Embedding cache** — per-layer outputs are cached under
-//!   `(model, precision, feature fingerprint)` with LRU eviction under a
-//!   byte budget; a hit replays the exact bits the miss path produced.
+//! * **Budgets** — models live in the same `Registry` type as
+//!   matrices, capped by count and parameter bytes; evicting a graph
+//!   removes the models bound to it.
+//! * **Embedding cache** — per-layer outputs sit in the same
+//!   [`ByteLru`] as translated formats, keyed by `(model, precision,
+//!   feature fingerprint)`; a hit replays the exact bits the miss path
+//!   produced.
 //! * **Double-execution verify** — when the engine runs with `verify`
 //!   on (always under chaos), the forward pass runs twice and must
 //!   agree bitwise; persistent disagreement invalidates the model's
@@ -62,9 +68,7 @@
 //! engine.shutdown();
 //! ```
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fs_gnn::{GnnBackend, GnnWeights, SparseOps};
@@ -73,7 +77,9 @@ use fs_tcu::GpuSpec;
 use fs_trace::export::JsonWriter;
 use parking_lot::Mutex;
 
+use crate::cache::{ByteLru, Footprint};
 use crate::fingerprint::Fingerprint;
+use crate::registry::Registry;
 
 /// Budgets for the GNN model registry and embedding cache.
 #[derive(Clone, Copy, Debug)]
@@ -114,6 +120,8 @@ pub enum GnnError {
     BadRequest(String),
     /// A registry budget (model count or parameter bytes) is exhausted.
     ResourceExhausted(String),
+    /// The engine's bounded queue is full — retry later (backpressure).
+    QueueFull,
     /// The deadline passed before the response was ready.
     DeadlineExceeded,
     /// Verification could not produce two agreeing forward passes.
@@ -127,6 +135,7 @@ impl std::fmt::Display for GnnError {
             GnnError::UnknownModel(id) => write!(f, "unknown model id {id}"),
             GnnError::BadRequest(m) => write!(f, "bad request: {m}"),
             GnnError::ResourceExhausted(m) => write!(f, "resource exhausted: {m}"),
+            GnnError::QueueFull => write!(f, "queue full"),
             GnnError::DeadlineExceeded => write!(f, "deadline exceeded"),
             GnnError::Internal(m) => write!(f, "internal: {m}"),
         }
@@ -184,109 +193,34 @@ const VERIFY_ATTEMPTS: usize = 3;
 struct ModelEntry {
     weights: GnnWeights,
     matrix_id: u64,
-    weight_bytes: usize,
 }
 
-#[derive(Default)]
-struct ModelRegistry {
-    map: HashMap<u64, Arc<ModelEntry>>,
-    resident_bytes: usize,
+impl Footprint for ModelEntry {
+    fn footprint_bytes(&self) -> usize {
+        self.weights.weight_bytes()
+    }
 }
 
 /// All per-layer outputs of one forward pass — the embedding-cache
 /// value. The last layer is the logits.
-struct EmbeddingEntry {
-    layers: Vec<DenseMatrix<f32>>,
-    model_id: u64,
-    bytes: usize,
-    last_used: u64,
-}
+type Embedding = Vec<DenseMatrix<f32>>;
 
-fn embedding_bytes(layers: &[DenseMatrix<f32>]) -> usize {
-    layers.iter().map(|m| m.len() * std::mem::size_of::<f32>()).sum()
+impl Footprint for Embedding {
+    fn footprint_bytes(&self) -> usize {
+        self.iter().map(|m| m.len() * std::mem::size_of::<f32>()).sum()
+    }
 }
 
 /// `(model, precision, feature fingerprint)` — the cache key. Precision
 /// is part of the key because FP16/TF32/FP32 logits legitimately differ.
 type CacheKey = (u64, u8, Fingerprint);
 
-#[derive(Default)]
-struct EmbeddingCache {
-    budget_bytes: usize,
-    resident_bytes: usize,
-    tick: u64,
-    entries: HashMap<CacheKey, EmbeddingEntry>,
-    evictions: u64,
-}
-
-impl EmbeddingCache {
-    fn get(&mut self, key: &CacheKey) -> Option<&EmbeddingEntry> {
-        self.tick += 1;
-        let tick = self.tick;
-        match self.entries.get_mut(key) {
-            Some(entry) => {
-                entry.last_used = tick;
-                Some(entry)
-            }
-            None => None,
-        }
-    }
-
-    fn insert(&mut self, key: CacheKey, model_id: u64, layers: Vec<DenseMatrix<f32>>) {
-        let bytes = embedding_bytes(&layers);
-        if bytes > self.budget_bytes {
-            return; // oversize: served but never stored, like FormatCache
-        }
-        if self.entries.contains_key(&key) {
-            return;
-        }
-        while self.resident_bytes + bytes > self.budget_bytes {
-            if !self.evict_lru() {
-                break;
-            }
-        }
-        self.tick += 1;
-        self.resident_bytes += bytes;
-        let entry = EmbeddingEntry { layers, model_id, bytes, last_used: self.tick };
-        self.entries.insert(key, entry);
-    }
-
-    fn evict_lru(&mut self) -> bool {
-        let victim = self.entries.iter().min_by_key(|(_, e)| e.last_used).map(|(k, _)| *k);
-        match victim {
-            Some(k) => {
-                if let Some(e) = self.entries.remove(&k) {
-                    self.resident_bytes -= e.bytes;
-                    self.evictions += 1;
-                }
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Drop every entry belonging to `model_id`; returns how many fell.
-    fn invalidate_model(&mut self, model_id: u64) -> usize {
-        let victims: Vec<CacheKey> =
-            self.entries.iter().filter(|(_, e)| e.model_id == model_id).map(|(k, _)| *k).collect();
-        for k in &victims {
-            if let Some(e) = self.entries.remove(k) {
-                self.resident_bytes -= e.bytes;
-            }
-        }
-        victims.len()
-    }
-}
-
 /// Engine-internal GNN serving state: the model registry, the embedding
 /// cache, and their counters.
 pub(crate) struct GnnState {
     cfg: GnnConfig,
-    models: Mutex<ModelRegistry>,
-    cache: Mutex<EmbeddingCache>,
-    next_id: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
+    models: Mutex<Registry<ModelEntry>>,
+    cache: Mutex<ByteLru<CacheKey, Embedding>>,
     invalidations: AtomicU64,
     verify_retries: AtomicU64,
     verify_failures: AtomicU64,
@@ -296,14 +230,8 @@ impl GnnState {
     pub(crate) fn new(cfg: GnnConfig) -> GnnState {
         GnnState {
             cfg,
-            models: Mutex::new(ModelRegistry::default()),
-            cache: Mutex::new(EmbeddingCache {
-                budget_bytes: cfg.cache_budget_bytes,
-                ..EmbeddingCache::default()
-            }),
-            next_id: AtomicU64::new(1),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
+            models: Mutex::new(Registry::new(cfg.max_models, cfg.max_model_bytes)),
+            cache: Mutex::new(ByteLru::new(cfg.cache_budget_bytes)),
             invalidations: AtomicU64::new(0),
             verify_retries: AtomicU64::new(0),
             verify_failures: AtomicU64::new(0),
@@ -311,73 +239,57 @@ impl GnnState {
     }
 
     /// Register weights bound to graph `matrix_id` (already validated
-    /// against the matrix registry by the engine).
+    /// against the matrix registry by the engine; feature rows are
+    /// validated per request).
     pub(crate) fn register(
         &self,
         matrix_id: u64,
-        graph_nodes: usize,
         weights: GnnWeights,
     ) -> Result<GnnModelInfo, GnnError> {
         weights.check_dims().map_err(GnnError::BadRequest)?;
         if weights.input_dim() == 0 || weights.output_dim() == 0 {
             return Err(GnnError::BadRequest("model has an empty projection".into()));
         }
-        let _ = graph_nodes; // feature rows are validated per request
         let weight_bytes = weights.weight_bytes();
         let layers = weights.num_layers();
-        let mut models = self.models.lock();
-        if models.map.len() >= self.cfg.max_models {
-            return Err(GnnError::ResourceExhausted(format!(
-                "model registry full ({} models)",
-                self.cfg.max_models
-            )));
-        }
-        if weight_bytes > self.cfg.max_model_bytes.saturating_sub(models.resident_bytes) {
-            return Err(GnnError::ResourceExhausted(format!(
-                "model byte budget exceeded: {} resident of {}, need {}",
-                models.resident_bytes, self.cfg.max_model_bytes, weight_bytes
-            )));
-        }
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        models.resident_bytes += weight_bytes;
-        models.map.insert(id, Arc::new(ModelEntry { weights, matrix_id, weight_bytes }));
+        let id = self
+            .models
+            .lock()
+            .insert(ModelEntry { weights, matrix_id })
+            .map_err(|e| GnnError::ResourceExhausted(format!("model {e}")))?;
         Ok(GnnModelInfo { id, weight_bytes, layers })
     }
 
     /// The graph matrix a model is bound to.
     pub(crate) fn model_graph(&self, model_id: u64) -> Option<u64> {
-        self.models.lock().map.get(&model_id).map(|m| m.matrix_id)
+        self.models.lock().get(model_id).map(|m| m.matrix_id)
     }
 
     /// Registered-model totals: `(count, resident parameter bytes)`.
     pub(crate) fn model_stats(&self) -> (usize, usize) {
-        let models = self.models.lock();
-        let bytes: usize = models.map.values().map(|m| m.weight_bytes).sum();
-        debug_assert_eq!(bytes, models.resident_bytes);
-        (models.map.len(), bytes)
+        self.models.lock().stats()
     }
 
     /// Drop every cache entry whose model aggregates over `matrix_id` —
     /// called when the matrix's circuit breaker reports a verification
-    /// failure (its kernel output is no longer trusted) and when the
-    /// matrix is evicted.
+    /// failure (its kernel output is no longer trusted).
     pub(crate) fn invalidate_matrix(&self, matrix_id: u64) -> usize {
-        let bound: Vec<u64> = self
-            .models
-            .lock()
-            .map
-            .iter()
-            .filter(|(_, m)| m.matrix_id == matrix_id)
-            .map(|(&id, _)| id)
-            .collect();
-        let mut dropped = 0;
-        let mut cache = self.cache.lock();
-        for id in bound {
-            dropped += cache.invalidate_model(id);
-        }
-        if dropped > 0 {
-            self.invalidations.fetch_add(dropped as u64, Ordering::Relaxed);
-        }
+        let bound = self.models.lock().ids_where(|m| m.matrix_id == matrix_id);
+        self.drop_embeddings(&bound)
+    }
+
+    /// The graph `matrix_id` was evicted: remove the models bound to it
+    /// (matrix ids are never reused, so such a model could only ever
+    /// answer `UnknownGraph` while still holding its share of the model
+    /// budget) and their cached embeddings.
+    pub(crate) fn evict_graph(&self, matrix_id: u64) {
+        let bound = self.models.lock().remove_where(|m| m.matrix_id == matrix_id);
+        self.drop_embeddings(&bound);
+    }
+
+    fn drop_embeddings(&self, models: &[u64]) -> usize {
+        let dropped = self.cache.lock().retain(|(model, _, _)| !models.contains(model));
+        self.invalidations.fetch_add(dropped as u64, Ordering::Relaxed);
         dropped
     }
 
@@ -396,13 +308,7 @@ impl GnnState {
         let backend = backend_for_precision(precision).ok_or_else(|| {
             GnnError::BadRequest(format!("unknown precision {precision} (0/1/2)"))
         })?;
-        let model = self
-            .models
-            .lock()
-            .map
-            .get(&model_id)
-            .cloned()
-            .ok_or(GnnError::UnknownModel(model_id))?;
+        let model = self.models.lock().get(model_id).ok_or(GnnError::UnknownModel(model_id))?;
         let nodes = graph.rows();
         if graph.cols() != nodes {
             return Err(GnnError::BadRequest(format!(
@@ -430,29 +336,26 @@ impl GnnState {
 
         let key: CacheKey = (model_id, precision, Fingerprint::of_dense(features));
         let layers = model.weights.num_layers();
+        let classes = model.weights.output_dim();
 
         // Cache lookup (span covers the probe; hit/miss split is in the
-        // gnn_cache_* counters).
-        let cached: Option<Vec<f32>> = {
+        // gnn_cache_* counters). A hit clones an `Arc` under the lock;
+        // the logits are copied out after it is released.
+        let cached = {
             let _span = fs_trace::span(fs_trace::Site::ServeGnnCache);
-            self.cache
-                .lock()
-                .get(&key)
-                .map(|e| e.layers.last().map(|m| m.as_slice().to_vec()).unwrap_or_default())
+            self.cache.lock().get(&key)
         };
-        if let Some(logits) = cached {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
+        if let Some(embedding) = cached {
             fs_trace::add(fs_trace::TraceCounter::GnnCacheHits, 1);
-            let (rows, scores) = select_rows(&logits, model.weights.output_dim(), node_ids);
+            let (rows, scores) = select_rows(logits_of(&embedding), classes, node_ids);
             return Ok(GnnInferResponse {
                 rows,
-                classes: model.weights.output_dim() as u32,
+                classes: classes as u32,
                 scores,
                 layer_micros: vec![0; layers],
                 cache_hit: true,
             });
         }
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
         fs_trace::add(fs_trace::TraceCounter::GnnCacheMisses, 1);
 
         let ops = SparseOps::new(backend, gpu);
@@ -462,40 +365,33 @@ impl GnnState {
             // the two runs disagree; retry with fresh runs. Persistent
             // disagreement poisons the model's cache and fails loudly —
             // an error response, never silently corrupt scores.
-            let mut agreed = None;
-            for attempt in 0..VERIFY_ATTEMPTS {
+            let agreed = (0..VERIFY_ATTEMPTS).find_map(|_| {
                 let (outputs, micros) = timed_forward(&model.weights, &ops, graph, features);
                 let recheck = model.weights.forward(&ops, graph, features);
-                let a = outputs.last().map(|m| m.as_slice()).unwrap_or(&[]);
-                if bits_equal(a, recheck.as_slice()) {
-                    agreed = Some((outputs, micros));
-                    break;
+                if bits_equal(logits_of(&outputs), recheck.as_slice()) {
+                    return Some((outputs, micros));
                 }
                 self.verify_retries.fetch_add(1, Ordering::Relaxed);
-                let _ = attempt;
-            }
-            match agreed {
-                Some(pair) => pair,
-                None => {
-                    self.verify_failures.fetch_add(1, Ordering::Relaxed);
-                    let dropped = self.cache.lock().invalidate_model(model_id);
-                    self.invalidations.fetch_add(dropped as u64, Ordering::Relaxed);
-                    return Err(GnnError::Internal(format!(
-                        "forward passes disagreed {VERIFY_ATTEMPTS} times; \
-                         embedding cache invalidated for model {model_id}"
-                    )));
-                }
-            }
+                None
+            });
+            let Some(agreed) = agreed else {
+                self.verify_failures.fetch_add(1, Ordering::Relaxed);
+                self.drop_embeddings(&[model_id]);
+                return Err(GnnError::Internal(format!(
+                    "forward passes disagreed {VERIFY_ATTEMPTS} times; \
+                     embedding cache invalidated for model {model_id}"
+                )));
+            };
+            agreed
         } else {
             timed_forward(&model.weights, &ops, graph, features)
         };
 
-        let logits = outputs.last().map(|m| m.as_slice().to_vec()).unwrap_or_default();
-        self.cache.lock().insert(key, model_id, outputs);
-        let (rows, scores) = select_rows(&logits, model.weights.output_dim(), node_ids);
+        let embedding = self.cache.lock().insert(key, outputs);
+        let (rows, scores) = select_rows(logits_of(&embedding), classes, node_ids);
         Ok(GnnInferResponse {
             rows,
-            classes: model.weights.output_dim() as u32,
+            classes: classes as u32,
             scores,
             layer_micros: micros,
             cache_hit: false,
@@ -505,7 +401,7 @@ impl GnnState {
     /// JSON object for the metrics document's `gnn` section.
     pub(crate) fn stats_json(&self) -> String {
         let (models, model_bytes) = self.model_stats();
-        let cache = self.cache.lock();
+        let cache = self.cache.lock().stats();
         let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
         let mut w = JsonWriter::new();
         w.begin_object();
@@ -514,11 +410,11 @@ impl GnnState {
         w.field_u64("max_models", self.cfg.max_models as u64);
         w.field_u64("max_model_bytes", self.cfg.max_model_bytes as u64);
         w.key("cache").begin_object();
-        w.field_u64("entries", cache.entries.len() as u64);
+        w.field_u64("entries", cache.entries as u64);
         w.field_u64("resident_bytes", cache.resident_bytes as u64);
         w.field_u64("budget_bytes", cache.budget_bytes as u64);
-        w.field_u64("hits", load(&self.cache_hits));
-        w.field_u64("misses", load(&self.cache_misses));
+        w.field_u64("hits", cache.hits);
+        w.field_u64("misses", cache.misses);
         w.field_u64("evictions", cache.evictions);
         w.field_u64("invalidations", load(&self.invalidations));
         w.end_object();
@@ -553,6 +449,11 @@ fn timed_forward(
     });
     drop(span);
     (outputs, micros)
+}
+
+/// The logits of a forward pass: its last layer's output.
+fn logits_of(layers: &[DenseMatrix<f32>]) -> &[f32] {
+    layers.last().map_or(&[], |m| m.as_slice())
 }
 
 fn bits_equal(a: &[f32], b: &[f32]) -> bool {
@@ -591,11 +492,11 @@ mod tests {
     fn register_budgets_are_enforced() {
         let (_, _, _, weights, _) = setup();
         let state = GnnState::new(GnnConfig { max_models: 1, ..GnnConfig::default() });
-        state.register(1, 48, weights.clone()).expect("first fits");
-        let err = state.register(1, 48, weights.clone()).expect_err("count cap");
+        state.register(1, weights.clone()).expect("first fits");
+        let err = state.register(1, weights.clone()).expect_err("count cap");
         assert!(matches!(err, GnnError::ResourceExhausted(_)), "{err}");
         let tiny = GnnState::new(GnnConfig { max_model_bytes: 8, ..GnnConfig::default() });
-        let err = tiny.register(1, 48, weights).expect_err("byte cap");
+        let err = tiny.register(1, weights).expect_err("byte cap");
         assert!(matches!(err, GnnError::ResourceExhausted(_)), "{err}");
     }
 
@@ -604,13 +505,13 @@ mod tests {
         let state = GnnState::new(GnnConfig::default());
         let bad =
             GnnWeights::gcn(vec![DenseMatrix::<f32>::zeros(4, 8), DenseMatrix::<f32>::zeros(9, 2)]);
-        assert!(matches!(state.register(1, 48, bad), Err(GnnError::BadRequest(_))));
+        assert!(matches!(state.register(1, bad), Err(GnnError::BadRequest(_))));
     }
 
     #[test]
     fn cache_hit_replays_miss_bits_and_counts() {
         let (state, adj, features, weights, classes) = setup();
-        let info = state.register(7, 48, weights).expect("register");
+        let info = state.register(7, weights).expect("register");
         let gpu = GpuSpec::RTX4090;
         for precision in [0u8, 1, 2] {
             let miss = state
@@ -628,14 +529,14 @@ mod tests {
             let b: Vec<u32> = hit.scores.iter().map(|v| v.to_bits()).collect();
             assert_eq!(a, b, "hit must replay the miss bits at precision {precision}");
         }
-        assert_eq!(state.cache_hits.load(Ordering::Relaxed), 3);
-        assert_eq!(state.cache_misses.load(Ordering::Relaxed), 3);
+        let stats = state.cache.lock().stats();
+        assert_eq!((stats.hits, stats.misses), (3, 3));
     }
 
     #[test]
     fn precision_is_part_of_the_cache_key() {
         let (state, adj, features, weights, _) = setup();
-        let info = state.register(7, 48, weights).expect("register");
+        let info = state.register(7, weights).expect("register");
         let fp32 =
             state.infer(info.id, &adj, GpuSpec::RTX4090, false, 0, &[], &features).expect("fp32");
         let fp16 =
@@ -651,7 +552,7 @@ mod tests {
     #[test]
     fn node_id_selection_matches_full_rows() {
         let (state, adj, features, weights, classes) = setup();
-        let info = state.register(7, 48, weights).expect("register");
+        let info = state.register(7, weights).expect("register");
         let full =
             state.infer(info.id, &adj, GpuSpec::RTX4090, false, 1, &[], &features).expect("full");
         let some = state
@@ -675,8 +576,8 @@ mod tests {
     #[test]
     fn invalidate_matrix_drops_only_bound_models() {
         let (state, adj, features, weights, _) = setup();
-        let bound = state.register(7, 48, weights.clone()).expect("bound to 7");
-        let other = state.register(8, 48, weights).expect("bound to 8");
+        let bound = state.register(7, weights.clone()).expect("bound to 7");
+        let other = state.register(8, weights).expect("bound to 8");
         for id in [bound.id, other.id] {
             state.infer(id, &adj, GpuSpec::RTX4090, false, 0, &[], &features).expect("warm");
         }
@@ -694,12 +595,12 @@ mod tests {
     #[test]
     fn verify_mode_agrees_with_plain_mode_bitwise() {
         let (state, adj, features, weights, _) = setup();
-        let info = state.register(7, 48, weights).expect("register");
+        let info = state.register(7, weights).expect("register");
         let plain =
             state.infer(info.id, &adj, GpuSpec::RTX4090, false, 2, &[], &features).expect("plain");
         let fresh = GnnState::new(GnnConfig::default());
         let info2 = fresh
-            .register(7, 48, fs_gnn::GcnModel::new(&[8, 12, 4], 0.01, 3).export_weights())
+            .register(7, fs_gnn::GcnModel::new(&[8, 12, 4], 0.01, 3).export_weights())
             .expect("register");
         let verified = fresh
             .infer(info2.id, &adj, GpuSpec::RTX4090, true, 2, &[], &features)
@@ -719,7 +620,7 @@ mod tests {
             .expect_err("unknown model");
         assert_eq!(err, GnnError::UnknownModel(99));
         let (state, adj, features, weights, _) = setup();
-        let info = state.register(7, 48, weights).expect("register");
+        let info = state.register(7, weights).expect("register");
         let err = state
             .infer(info.id, &adj, GpuSpec::RTX4090, false, 9, &[], &features)
             .expect_err("bad precision");
@@ -728,7 +629,7 @@ mod tests {
 
     #[test]
     fn embedding_cache_lru_stays_within_budget() {
-        let mut cache = EmbeddingCache { budget_bytes: 4096, ..EmbeddingCache::default() };
+        let mut cache: ByteLru<CacheKey, Embedding> = ByteLru::new(4096);
         let fp = |seed: u64| {
             Fingerprint::of_dense(&DenseMatrix::<f32>::from_fn(2, 2, |r, c| {
                 (seed as f32) + (r * 2 + c) as f32
@@ -736,13 +637,26 @@ mod tests {
         };
         for seed in 0..16 {
             let layers = vec![DenseMatrix::<f32>::zeros(8, 16)]; // 512 B each
-            cache.insert((1, 0, fp(seed)), 1, layers);
-            assert!(cache.resident_bytes <= cache.budget_bytes);
+            cache.insert((1, 0, fp(seed)), layers);
+            assert!(cache.resident_bytes() <= cache.budget_bytes());
         }
-        assert!(cache.evictions > 0, "16 × 512 B must not fit in 4 KiB");
+        assert!(cache.stats().evictions > 0, "16 × 512 B must not fit in 4 KiB");
         // Oversize entries are never stored.
         let huge = vec![DenseMatrix::<f32>::zeros(64, 64)]; // 16 KiB
-        cache.insert((1, 0, fp(99)), 1, huge);
+        cache.insert((1, 0, fp(99)), huge);
         assert!(cache.get(&(1, 0, fp(99))).is_none());
+    }
+
+    #[test]
+    fn evicting_a_graph_removes_its_models_and_releases_their_bytes() {
+        let (state, adj, features, weights, _) = setup();
+        let bound = state.register(7, weights.clone()).expect("bound to 7");
+        let other = state.register(8, weights.clone()).expect("bound to 8");
+        state.infer(bound.id, &adj, GpuSpec::RTX4090, false, 0, &[], &features).expect("warm");
+        state.evict_graph(7);
+        assert_eq!(state.model_stats(), (1, weights.weight_bytes()));
+        assert_eq!(state.model_graph(bound.id), None);
+        assert_eq!(state.model_graph(other.id), Some(8));
+        assert_eq!(state.cache.lock().stats().entries, 0, "its embeddings went with it");
     }
 }

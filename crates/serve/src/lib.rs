@@ -6,22 +6,29 @@
 //! auto-tune variant selection — should be paid once, not per request.
 //! This crate wraps the kernel library in a small serving engine:
 //!
-//! - [`cache`] — an LRU of translated formats keyed by content
-//!   fingerprint, bounded by a byte budget measured with the same
-//!   footprint accounting the paper's Table 7 uses.
-//! - [`engine`] — a bounded-queue, panic-isolated worker pool that
-//!   groups concurrent requests for the same matrix into micro-batches
-//!   and folds [`fs_tcu::KernelCounters`] into per-tenant totals.
+//! - [`cache`] — a byte-budget LRU ([`ByteLru`]); as [`FormatCache`] it
+//!   holds translated formats keyed by content fingerprint, bounded with
+//!   the same footprint accounting the paper's Table 7 uses.
+//! - [`engine`] — [`EngineConfig`], the [`ServeEngine`] facade and the
+//!   metrics document, in front of [`registry`] (matrices and GNN models
+//!   in one budgeted id → `Arc` map), [`queue`] (the one executor: a
+//!   bounded-queue, panic-isolated worker pool that groups concurrent
+//!   SpMM requests for the same matrix into micro-batches, sheds expired
+//!   jobs and folds [`fs_tcu::KernelCounters`] into per-tenant totals)
+//!   and the batch execution behind it.
 //! - [`gnn_infer`] — end-to-end GNN inference serving: registered
 //!   [`fs_gnn::GnnWeights`] models run complete GCN/AGNN forward passes
-//!   server-side (`REQ_GNN_INFER`), bit-identical to the offline fs-gnn
-//!   pass at per-request FP16/TF32/FP32 precision, with an LRU
-//!   per-layer embedding cache keyed by feature fingerprint.
+//!   server-side (`REQ_GNN_INFER`) as jobs on that same queue,
+//!   bit-identical to the offline fs-gnn pass at per-request
+//!   FP16/TF32/FP32 precision, with per-layer embeddings cached in a
+//!   second [`ByteLru`] keyed by feature fingerprint.
 //! - [`protocol`]/[`server`]/[`client`] — a length-prefixed binary TCP
 //!   protocol (std::net only) whose every message is declared once in
 //!   [`protocol`], the framed-connection [`Listener`] the server and the
-//!   `fs-cluster` router both run on, and a blocking client.
-//! - [`loadgen`] — open/closed-loop traffic generation with a JSON
+//!   `fs-cluster` router both run on, and a blocking client with one
+//!   retry loop ([`ServeClient::retrying`]).
+//! - [`loadgen`] — open/closed-loop traffic generation (one driver loop,
+//!   parameterised by the per-request operation) with a JSON
 //!   latency/throughput report, plus a `--chaos` soak mode that verifies
 //!   every response against the scalar reference while a fault plan is
 //!   active (errors are allowed; silent corruption is not).
@@ -65,15 +72,18 @@ pub mod args;
 pub mod cache;
 pub mod client;
 pub mod engine;
+mod execute;
 pub mod fingerprint;
 pub mod gnn_infer;
 pub mod loadgen;
 pub mod metrics;
 pub mod protocol;
+pub mod queue;
+pub mod registry;
 pub mod server;
 
 pub use args::{parse_value, FlagParser};
-pub use cache::{CacheStats, CachedFormat, FormatCache};
+pub use cache::{ByteLru, CacheStats, CachedFormat, Footprint, FormatCache};
 pub use client::{
     ClientError, ClusterSpmmResult, GnnInferResult, LoadedMatrix, ServeClient, SpmmResult,
     DEFAULT_CONNECT_TIMEOUT, DEFAULT_IO_TIMEOUT,

@@ -9,7 +9,6 @@
 
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -20,9 +19,11 @@ use fs_gnn::{normalize_adjacency, GcnModel, SparseOps};
 use fs_matrix::gen::{random_uniform, rmat, sbm, RmatConfig, SbmConfig};
 use fs_matrix::{CsrMatrix, DenseMatrix};
 use fs_tcu::GpuSpec;
+use parking_lot::Mutex;
 
-use crate::client::{ClientError, ClusterSpmmResult, GnnInferResult, ServeClient};
+use crate::client::{ClientError, ClusterSpmmResult, ServeClient};
 use crate::gnn_infer::backend_for_precision;
+use crate::protocol::ErrorCode;
 
 /// Attempts per request in chaos mode (first try + retries).
 const CHAOS_ATTEMPTS: u32 = 6;
@@ -296,11 +297,7 @@ impl LoadReport {
         w.field_u64("shard_failures", self.shard_failures);
         w.field_str("server_addr", &self.server_addr);
         w.field_u64("server_start_epoch", self.server_start_epoch);
-        w.key("degraded_timeline").begin_array();
-        for &count in &self.degraded_timeline {
-            w.value_u64(count);
-        }
-        w.end_array();
+        u64_array(&mut w, "degraded_timeline", &self.degraded_timeline);
         w.field_u64("heal_ticks", self.heal_ticks);
         w.field_u64("heal_repairs_completed", self.heal_repairs_completed);
         w.field_u64("heal_last_repair_epoch", self.heal_last_repair_epoch);
@@ -313,19 +310,19 @@ impl LoadReport {
         w.field_u64("gnn_precision", u64::from(self.gnn_precision));
         w.field_u64("gnn_layers", self.gnn_layers);
         w.field_f64("gnn_accuracy", self.gnn_accuracy);
-        w.key("gnn_layer_p50_us").begin_array();
-        for &us in &self.gnn_layer_p50_us {
-            w.value_u64(us);
-        }
-        w.end_array();
-        w.key("gnn_layer_p95_us").begin_array();
-        for &us in &self.gnn_layer_p95_us {
-            w.value_u64(us);
-        }
-        w.end_array();
+        u64_array(&mut w, "gnn_layer_p50_us", &self.gnn_layer_p50_us);
+        u64_array(&mut w, "gnn_layer_p95_us", &self.gnn_layer_p95_us);
         w.end_object();
         w.finish()
     }
+}
+
+fn u64_array(w: &mut fs_trace::export::JsonWriter, key: &str, values: &[u64]) {
+    w.key(key).begin_array();
+    for &v in values {
+        w.value_u64(v);
+    }
+    w.end_array();
 }
 
 /// Pull a `"key":123` integer out of a JSON fragment (first occurrence
@@ -378,26 +375,6 @@ pub fn percentile(sorted: &[u64], p: f64) -> u64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
-struct WorkerTally {
-    latencies: Vec<u64>,
-    rejected: u64,
-    timed_out: u64,
-    errors: u64,
-    cache_hits: u64,
-    max_batch: u64,
-    wrong: u64,
-    retried: u64,
-    fallbacks: u64,
-    degraded: u64,
-    shard_failures: u64,
-    /// Second-of-run (floor) of each degraded completion, for the
-    /// report's per-second timeline.
-    degraded_seconds: Vec<u64>,
-    /// Latencies of responses that missed the format cache (plain mode
-    /// only; cluster responses do not carry the per-shard hit bit).
-    cold_latencies: Vec<u64>,
-}
-
 /// Chaos-mode response check: the served numbers against the scalar
 /// reference, NaN-hostile (`!(diff <= tol)` rejects NaN).
 fn response_matches(out: &[f32], expected: &[f32]) -> bool {
@@ -424,294 +401,141 @@ fn cluster_response_matches(resp: &ClusterSpmmResult, expected: &[f32], n: usize
     })
 }
 
-/// [`ServeClient::cluster_spmm`] with retry/reconnect over transient
-/// failures — the cluster-mode analogue of `spmm_retrying`.
-#[allow(clippy::too_many_arguments)]
-fn cluster_spmm_retrying(
-    client: &mut ServeClient,
-    tenant: &str,
-    matrix_id: u64,
-    b_rows: usize,
-    n: usize,
-    b: &[f32],
-    deadline_ms: u32,
-    attempts: u32,
-    backoff: &mut Backoff,
-) -> Result<ClusterSpmmResult, ClientError> {
-    let mut last: Option<ClientError> = None;
-    for attempt in 0..attempts.max(1) {
-        if attempt > 0 {
-            thread::sleep(backoff.next_delay());
-        }
-        match client.cluster_spmm(tenant, matrix_id, b_rows, n, b, deadline_ms) {
-            Ok(resp) => return Ok(resp),
-            Err(e @ (ClientError::Io(_) | ClientError::Proto(_) | ClientError::Unexpected(_))) => {
-                let _ = client.reconnect();
-                last = Some(e);
-            }
-            Err(ClientError::Server { code, message })
-                if matches!(
-                    code,
-                    crate::protocol::ErrorCode::Internal | crate::protocol::ErrorCode::QueueFull
-                ) =>
-            {
-                last = Some(ClientError::Server { code, message });
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Err(last.unwrap_or_else(|| ClientError::Unexpected("no attempt was made".into())))
+/// What one answered request contributes to the report beyond its
+/// latency — the record each mode's per-request operation returns.
+#[derive(Default)]
+struct Sample {
+    /// Served from the server's format (or, in GNN mode, embedding) cache.
+    cache_hit: bool,
+    /// Plain mode: a format-cache miss, whose latency also counts as a
+    /// cold one (cluster responses do not carry the per-shard hit bit).
+    cold: bool,
+    /// Micro-batch size the response reported.
+    batch: u64,
+    /// Served from a fallback rung (not tuned).
+    fallback: bool,
+    /// The numbers did not match the client-side reference.
+    wrong: bool,
+    /// Cluster mode: a slab was lost.
+    degraded: bool,
+    /// Cluster mode: shard attempts that failed.
+    shard_failures: u64,
+    /// GNN mode: per-layer server-side microseconds of a cache miss.
+    layer_micros: Vec<u64>,
 }
 
-/// Register the matrix, retrying through chaos-injected frame faults. A
-/// duplicate registration after a corrupted Loaded response is harmless:
-/// identical content shares one cache entry server-side.
-fn load_with_retry(
-    client: &mut ServeClient,
+/// Everything the workers of one run add up, behind one lock.
+#[derive(Default)]
+struct Tally {
+    /// The additive counters, accumulated in place.
+    report: LoadReport,
+    latencies: Vec<u64>,
+    cold_latencies: Vec<u64>,
+    /// Second-of-run (floor) of each degraded completion, for the
+    /// report's per-second timeline.
+    degraded_seconds: Vec<u64>,
+    /// Per-layer server-side microseconds over cache misses.
+    layer_micros: Vec<Vec<u64>>,
+}
+
+/// The one load driver. `cfg.concurrency` workers each hold a connection
+/// and claim request slots from a shared counter — in closed loop as fast
+/// as responses come back, in open loop at the slot's scheduled instant.
+/// `op(client, worker, slot)` performs one request and says what it saw;
+/// under `cfg.chaos` it runs inside [`ServeClient::retrying`]. Outcomes
+/// are classified and tallied here, and the tally becomes the report:
+/// `mode`, the counters, latency percentiles, the cluster timeline, the
+/// `layers` per-layer GNN percentiles and the server's own metrics.
+fn drive(
     cfg: &LoadgenConfig,
-    tenant: &str,
-    csr: &CsrMatrix<f32>,
-) -> Result<crate::client::LoadedMatrix, String> {
-    let attempts = if cfg.chaos { CHAOS_ATTEMPTS } else { 1 };
-    let mut backoff = Backoff::for_client(0x10AD);
-    let mut last = "load failed: no attempt made".to_string();
-    for attempt in 0..attempts {
-        if attempt > 0 {
-            thread::sleep(backoff.next_delay());
-            let _ = client.reconnect();
-        }
-        match client.load_matrix(tenant, csr) {
-            Ok(loaded) => return Ok(loaded),
-            Err(e) => last = format!("load failed: {e}"),
-        }
-    }
-    Err(last)
-}
-
-/// Run the configured workload. Returns the report, or an error string
-/// when the server cannot be reached at all.
-pub fn run(cfg: &LoadgenConfig) -> Result<LoadReport, String> {
-    if let Some(spec) = cfg.gnn {
-        return run_gnn(cfg, spec);
-    }
-    let csr = Arc::new(cfg.matrix.build());
-    let b: Arc<Vec<f32>> =
-        Arc::new((0..csr.cols() * cfg.n).map(|i| ((i % 11) as f32 - 5.0) * 0.125).collect());
-    // Chaos mode holds the server to the zero-wrong-responses contract:
-    // every request is identical, so one client-side scalar reference
-    // checks them all.
-    let expected: Option<Arc<Vec<f32>>> = if cfg.chaos {
-        let dense = DenseMatrix::<f32>::from_f32_slice(csr.cols(), cfg.n, &b);
-        Some(Arc::new(csr.spmm_reference(&dense).as_slice().to_vec()))
-    } else {
-        None
-    };
-
-    // One tenant-side registration per tenant name (identical content →
-    // one shared cache entry server-side).
-    let mut matrix_ids = Vec::with_capacity(cfg.tenants.max(1));
-    {
-        let mut probe = ServeClient::connect_with_retry(&cfg.addr, cfg.ready_timeout)
-            .map_err(|e| format!("server not reachable: {e}"))?;
-        for t in 0..cfg.tenants.max(1) {
-            let loaded = load_with_retry(&mut probe, cfg, &format!("t{t}"), &csr)?;
-            matrix_ids.push(loaded.matrix_id);
-        }
-    }
-
-    let issued = Arc::new(AtomicUsize::new(0));
+    mode: &str,
+    layers: usize,
+    op: impl Fn(&mut ServeClient, usize, usize) -> Result<Sample, ClientError> + Sync,
+) -> LoadReport {
+    let tally = Mutex::new(Tally { layer_micros: vec![Vec::new(); layers], ..Tally::default() });
+    let issued = AtomicUsize::new(0);
     let started = Instant::now();
-
-    let mut handles = Vec::new();
-    for w in 0..cfg.concurrency.max(1) {
-        let cfg = cfg.clone();
-        let b = Arc::clone(&b);
-        let csr = Arc::clone(&csr);
-        let issued = Arc::clone(&issued);
-        let expected = expected.clone();
-        let tenant_idx = w % cfg.tenants.max(1);
-        let matrix_id = matrix_ids[tenant_idx];
-        handles.push(thread::spawn(move || -> WorkerTally {
-            let mut tally = WorkerTally {
-                latencies: Vec::new(),
-                rejected: 0,
-                timed_out: 0,
-                errors: 0,
-                cache_hits: 0,
-                max_batch: 0,
-                wrong: 0,
-                retried: 0,
-                fallbacks: 0,
-                degraded: 0,
-                shard_failures: 0,
-                degraded_seconds: Vec::new(),
-                cold_latencies: Vec::new(),
-            };
-            let mut backoff = Backoff::for_client(w as u64);
-            let mut client = match ServeClient::connect_with_retry(&cfg.addr, cfg.ready_timeout) {
-                Ok(c) => c,
-                Err(_) => {
-                    tally.errors += 1;
-                    return tally;
-                }
-            };
-            let tenant = format!("t{tenant_idx}");
-            loop {
-                let slot = issued.fetch_add(1, Ordering::Relaxed);
-                if slot >= cfg.requests {
+    let worker = |w: usize| {
+        let Ok(mut client) = connect(cfg) else {
+            tally.lock().report.errors += 1;
+            return;
+        };
+        let mut backoff = Backoff::for_client(w as u64);
+        loop {
+            let slot = issued.fetch_add(1, Ordering::Relaxed);
+            if slot >= cfg.requests {
+                break;
+            }
+            if let Some(rps) = cfg.open_rps {
+                // Open loop: fire at the scheduled instant, not when the
+                // previous response lands.
+                let due = started + Duration::from_secs_f64(slot as f64 / rps);
+                thread::sleep(due.saturating_duration_since(Instant::now()));
+                if started.elapsed() > cfg.duration {
                     break;
                 }
-                if let Some(rps) = cfg.open_rps {
-                    // Open loop: fire at the scheduled instant, not when
-                    // the previous response lands.
-                    let due = started + Duration::from_secs_f64(slot as f64 / rps);
-                    let now = Instant::now();
-                    if now < due {
-                        thread::sleep(due - now);
+            }
+            let t0 = Instant::now();
+            let result = if cfg.chaos {
+                client.retrying(CHAOS_ATTEMPTS, &mut backoff, |c| op(c, w, slot))
+            } else {
+                op(&mut client, w, slot)
+            };
+            let us = t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
+            let mut t = tally.lock();
+            t.report.retried += u64::from(backoff.attempts());
+            backoff.reset();
+            match result {
+                Ok(sample) => {
+                    t.latencies.push(us);
+                    t.report.cache_hits += u64::from(sample.cache_hit);
+                    if sample.cold {
+                        t.cold_latencies.push(us);
                     }
-                    if started.elapsed() > cfg.duration {
-                        break;
+                    t.report.max_batch = t.report.max_batch.max(sample.batch);
+                    t.report.fallbacks += u64::from(sample.fallback);
+                    t.report.wrong += u64::from(sample.wrong);
+                    if sample.degraded {
+                        t.report.degraded += 1;
+                        t.degraded_seconds.push(started.elapsed().as_secs());
+                    }
+                    t.report.shard_failures += sample.shard_failures;
+                    for (bucket, us) in t.layer_micros.iter_mut().zip(sample.layer_micros) {
+                        bucket.push(us);
                     }
                 }
-                let t0 = Instant::now();
-                if cfg.cluster {
-                    let result = if cfg.chaos {
-                        cluster_spmm_retrying(
-                            &mut client,
-                            &tenant,
-                            matrix_id,
-                            csr.cols(),
-                            cfg.n,
-                            &b,
-                            cfg.deadline_ms,
-                            CHAOS_ATTEMPTS,
-                            &mut backoff,
-                        )
-                    } else {
-                        client.cluster_spmm(
-                            &tenant,
-                            matrix_id,
-                            csr.cols(),
-                            cfg.n,
-                            &b,
-                            cfg.deadline_ms,
-                        )
-                    };
-                    tally.retried += u64::from(backoff.attempts());
-                    backoff.reset();
-                    match result {
-                        Ok(resp) => {
-                            let us = t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-                            tally.latencies.push(us);
-                            if resp.degraded {
-                                tally.degraded += 1;
-                                tally.degraded_seconds.push(started.elapsed().as_secs());
-                            }
-                            tally.shard_failures += u64::from(resp.shards_failed);
-                            if let Some(exp) = &expected {
-                                if !cluster_response_matches(&resp, exp, cfg.n) {
-                                    tally.wrong += 1;
-                                }
-                            }
-                        }
-                        Err(ClientError::Server { code, .. }) => match code {
-                            crate::protocol::ErrorCode::QueueFull => tally.rejected += 1,
-                            crate::protocol::ErrorCode::DeadlineExceeded => tally.timed_out += 1,
-                            _ => tally.errors += 1,
-                        },
-                        Err(_) => {
-                            tally.errors += 1;
-                            match ServeClient::connect_with_retry(&cfg.addr, cfg.ready_timeout) {
-                                Ok(c) => client = c,
-                                Err(_) => break,
-                            }
-                        }
-                    }
-                    continue;
+                Err(ClientError::Server { code: ErrorCode::QueueFull, .. }) => {
+                    t.report.rejected += 1;
                 }
-                let result = if cfg.chaos {
-                    client.spmm_retrying(
-                        &tenant,
-                        matrix_id,
-                        csr.cols(),
-                        cfg.n,
-                        &b,
-                        cfg.deadline_ms,
-                        CHAOS_ATTEMPTS,
-                        &mut backoff,
-                    )
-                } else {
-                    client.spmm(&tenant, matrix_id, csr.cols(), cfg.n, &b, cfg.deadline_ms)
-                };
-                tally.retried += u64::from(backoff.attempts());
-                backoff.reset();
-                match result {
-                    Ok(resp) => {
-                        let us = t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-                        tally.latencies.push(us);
-                        if resp.cache_hit {
-                            tally.cache_hits += 1;
-                        } else {
-                            tally.cold_latencies.push(us);
-                        }
-                        tally.max_batch = tally.max_batch.max(resp.batch_size as u64);
-                        if resp.fallback_level != FallbackLevel::Tuned {
-                            tally.fallbacks += 1;
-                        }
-                        if let Some(exp) = &expected {
-                            if !response_matches(&resp.out, exp) {
-                                tally.wrong += 1;
-                            }
-                        }
-                    }
-                    Err(ClientError::Server { code, .. }) => match code {
-                        crate::protocol::ErrorCode::QueueFull => tally.rejected += 1,
-                        crate::protocol::ErrorCode::DeadlineExceeded => tally.timed_out += 1,
-                        _ => tally.errors += 1,
-                    },
-                    Err(_) => {
-                        tally.errors += 1;
-                        // Reconnect once; a dropped connection otherwise
-                        // wastes the rest of this worker's slots.
-                        match ServeClient::connect_with_retry(&cfg.addr, cfg.ready_timeout) {
+                Err(ClientError::Server { code: ErrorCode::DeadlineExceeded, .. }) => {
+                    t.report.timed_out += 1;
+                }
+                Err(e) => {
+                    t.report.errors += 1;
+                    drop(t);
+                    // A dropped connection otherwise wastes the rest of
+                    // this worker's slots: dial again, once.
+                    if e.needs_reconnect() {
+                        match connect(cfg) {
                             Ok(c) => client = c,
                             Err(_) => break,
                         }
                     }
                 }
             }
-            tally
-        }));
-    }
-
-    let mut latencies: Vec<u64> = Vec::new();
-    let mut cold_latencies: Vec<u64> = Vec::new();
-    let mut degraded_seconds: Vec<u64> = Vec::new();
-    let mut report = LoadReport {
-        mode: if cfg.open_rps.is_some() { "open" } else { "closed" }.to_string(),
-        ..LoadReport::default()
-    };
-    for h in handles {
-        match h.join() {
-            Ok(t) => {
-                latencies.extend(t.latencies);
-                cold_latencies.extend(t.cold_latencies);
-                degraded_seconds.extend(t.degraded_seconds);
-                report.rejected += t.rejected;
-                report.timed_out += t.timed_out;
-                report.errors += t.errors;
-                report.cache_hits += t.cache_hits;
-                report.max_batch = report.max_batch.max(t.max_batch);
-                report.wrong += t.wrong;
-                report.retried += t.retried;
-                report.fallbacks += t.fallbacks;
-                report.degraded += t.degraded;
-                report.shard_failures += t.shard_failures;
-            }
-            Err(_) => report.errors += 1,
         }
-    }
+    };
+    let panicked = thread::scope(|scope| {
+        let handles: Vec<_> =
+            (0..cfg.concurrency.max(1)).map(|w| scope.spawn(move || worker(w))).collect();
+        handles.into_iter().filter_map(|h| h.join().err()).count()
+    });
+
     let elapsed = started.elapsed();
+    let Tally { mut report, mut latencies, mut cold_latencies, degraded_seconds, layer_micros } =
+        tally.into_inner();
+    report.mode = mode.to_string();
+    report.errors += panicked as u64;
     latencies.sort_unstable();
     report.completed = latencies.len() as u64;
     report.duration_ms = elapsed.as_millis().min(u128::from(u64::MAX)) as u64;
@@ -723,11 +547,7 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadReport, String> {
     report.p50_us = percentile(&latencies, 50.0);
     report.p95_us = percentile(&latencies, 95.0);
     report.p99_us = percentile(&latencies, 99.0);
-    report.mean_us = if latencies.is_empty() {
-        0
-    } else {
-        latencies.iter().sum::<u64>() / latencies.len() as u64
-    };
+    report.mean_us = latencies.iter().sum::<u64>().checked_div(latencies.len() as u64).unwrap_or(0);
     cold_latencies.sort_unstable();
     report.cold_requests = cold_latencies.len() as u64;
     report.cold_p99_us = percentile(&cold_latencies, 99.0);
@@ -743,7 +563,89 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadReport, String> {
             }
         }
     }
+    for mut bucket in layer_micros {
+        bucket.sort_unstable();
+        report.gnn_layer_p50_us.push(percentile(&bucket, 50.0));
+        report.gnn_layer_p95_us.push(percentile(&bucket, 95.0));
+    }
     attach_server_metrics(&mut report, cfg);
+    report
+}
+
+/// The set-up connection registrations go over.
+fn connect(cfg: &LoadgenConfig) -> Result<ServeClient, String> {
+    ServeClient::connect_with_retry(&cfg.addr, cfg.ready_timeout)
+        .map_err(|e| format!("server not reachable: {e}"))
+}
+
+/// One registration call — retried through chaos-injected frame faults in
+/// chaos mode. A duplicate registration after a corrupted reply is
+/// harmless: identical content shares one cache entry server-side, and
+/// the last ids win.
+fn registering<T>(
+    cfg: &LoadgenConfig,
+    probe: &mut ServeClient,
+    call: impl FnMut(&mut ServeClient) -> Result<T, ClientError>,
+) -> Result<T, String> {
+    let attempts = if cfg.chaos { CHAOS_ATTEMPTS } else { 1 };
+    probe
+        .retrying(attempts, &mut Backoff::for_client(0x10AD), call)
+        .map_err(|e| format!("registration failed: {e}"))
+}
+
+/// Run the configured workload. Returns the report, or an error string
+/// when the server cannot be reached at all.
+pub fn run(cfg: &LoadgenConfig) -> Result<LoadReport, String> {
+    if let Some(spec) = cfg.gnn {
+        return run_gnn(cfg, spec);
+    }
+    let csr = cfg.matrix.build();
+    let b: Vec<f32> = (0..csr.cols() * cfg.n).map(|i| ((i % 11) as f32 - 5.0) * 0.125).collect();
+    // Chaos mode holds the server to the zero-wrong-responses contract:
+    // every request is identical, so one client-side scalar reference
+    // checks them all.
+    let expected: Option<Vec<f32>> = cfg.chaos.then(|| {
+        let dense = DenseMatrix::<f32>::from_f32_slice(csr.cols(), cfg.n, &b);
+        csr.spmm_reference(&dense).as_slice().to_vec()
+    });
+
+    // One tenant-side registration per tenant name (identical content →
+    // one shared cache entry server-side).
+    let tenants: Vec<String> = (0..cfg.tenants.max(1)).map(|t| format!("t{t}")).collect();
+    let mut probe = connect(cfg)?;
+    let matrix_ids = tenants
+        .iter()
+        .map(|t| Ok(registering(cfg, &mut probe, |c| c.load_matrix(t, &csr))?.matrix_id))
+        .collect::<Result<Vec<u64>, String>>()?;
+    drop(probe);
+
+    let mode = if cfg.open_rps.is_some() { "open" } else { "closed" };
+    let (rows, n, deadline) = (csr.cols(), cfg.n, cfg.deadline_ms);
+    let report = if cfg.cluster {
+        drive(cfg, mode, 0, |client, w, _| {
+            let t = w % tenants.len();
+            let resp = client.cluster_spmm(&tenants[t], matrix_ids[t], rows, n, &b, deadline)?;
+            Ok(Sample {
+                wrong: expected.as_ref().is_some_and(|e| !cluster_response_matches(&resp, e, n)),
+                degraded: resp.degraded,
+                shard_failures: u64::from(resp.shards_failed),
+                ..Sample::default()
+            })
+        })
+    } else {
+        drive(cfg, mode, 0, |client, w, _| {
+            let t = w % tenants.len();
+            let resp = client.spmm(&tenants[t], matrix_ids[t], rows, n, &b, deadline)?;
+            Ok(Sample {
+                cache_hit: resp.cache_hit,
+                cold: !resp.cache_hit,
+                batch: resp.batch_size as u64,
+                fallback: resp.fallback_level != FallbackLevel::Tuned,
+                wrong: expected.as_ref().is_some_and(|e| !response_matches(&resp.out, e)),
+                ..Sample::default()
+            })
+        })
+    };
     Ok(report)
 }
 
@@ -774,53 +676,6 @@ fn attach_server_metrics(report: &mut LoadReport, cfg: &LoadgenConfig) {
             report.heal_shard_states = extract_all_str(states_end, "state");
         }
     }
-}
-
-/// [`ServeClient::gnn_infer`] with retry/reconnect over transient
-/// failures — the GNN-mode analogue of `spmm_retrying`.
-#[allow(clippy::too_many_arguments)]
-fn gnn_infer_retrying(
-    client: &mut ServeClient,
-    cfg: &LoadgenConfig,
-    tenant: &str,
-    model_id: u64,
-    precision: u8,
-    features: &DenseMatrix<f32>,
-    attempts: u32,
-    backoff: &mut Backoff,
-) -> Result<GnnInferResult, ClientError> {
-    let mut last: Option<ClientError> = None;
-    for attempt in 0..attempts.max(1) {
-        if attempt > 0 {
-            thread::sleep(backoff.next_delay());
-        }
-        match client.gnn_infer(
-            tenant,
-            model_id,
-            precision,
-            cfg.deadline_ms,
-            &[],
-            features.rows(),
-            features.cols(),
-            features.as_slice(),
-        ) {
-            Ok(resp) => return Ok(resp),
-            Err(e @ (ClientError::Io(_) | ClientError::Proto(_) | ClientError::Unexpected(_))) => {
-                let _ = client.reconnect();
-                last = Some(e);
-            }
-            Err(ClientError::Server { code, message })
-                if matches!(
-                    code,
-                    crate::protocol::ErrorCode::Internal | crate::protocol::ErrorCode::QueueFull
-                ) =>
-            {
-                last = Some(ClientError::Server { code, message });
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Err(last.unwrap_or_else(|| ClientError::Unexpected("no attempt was made".into())))
 }
 
 /// The `--gnn` workload: train a GCN offline, register the normalized
@@ -856,242 +711,60 @@ fn run_gnn(cfg: &LoadgenConfig, spec: GnnSpec) -> Result<LoadReport, String> {
     // The feature variants requests cycle through: variant 0 is the real
     // dataset; the rest are small deterministic perturbations, each a
     // distinct embedding-cache key.
-    let variants: Vec<Arc<DenseMatrix<f32>>> = (0..spec.variants.max(1))
+    let variants: Vec<DenseMatrix<f32>> = (0..spec.variants.max(1))
         .map(|v| {
-            Arc::new(DenseMatrix::from_fn(ds.features.rows(), ds.features.cols(), |r, c| {
+            DenseMatrix::from_fn(ds.features.rows(), ds.features.cols(), |r, c| {
                 ds.features.get(r, c) + v as f32 * 0.001
-            }))
+            })
         })
         .collect();
 
     // Offline bit-exact references (fresh SparseOps: stats do not alter
     // numerics, but keep the reference run self-contained).
     let ref_ops = SparseOps::new(backend, GpuSpec::RTX4090);
-    let mut reference: Vec<Arc<Vec<f32>>> = Vec::with_capacity(variants.len());
-    let mut test_accuracy = 0.0;
-    for (v, features) in variants.iter().enumerate() {
-        let logits = weights.forward(&ref_ops, &adj, features);
-        if v == 0 {
-            test_accuracy = accuracy(&logits, &ds.labels, &ds.test_idx);
-        }
-        reference.push(Arc::new(logits.as_slice().to_vec()));
-    }
+    let reference: Vec<DenseMatrix<f32>> =
+        variants.iter().map(|features| weights.forward(&ref_ops, &adj, features)).collect();
+    let test_accuracy = accuracy(&reference[0], &ds.labels, &ds.test_idx);
 
-    // Register the graph and the model (retrying through chaos faults; a
-    // duplicate registration is harmless, the last ids win).
-    let (matrix_id, model_id, layers) = {
-        let mut probe = ServeClient::connect_with_retry(&cfg.addr, cfg.ready_timeout)
-            .map_err(|e| format!("server not reachable: {e}"))?;
-        let loaded = load_with_retry(&mut probe, cfg, "g0", &adj)?;
-        let (kind, wire, scalars) = weights.export_wire();
-        let wire_weights: Vec<(u32, u32, Vec<f32>)> =
-            wire.into_iter().map(|(r, c, data)| (r as u32, c as u32, data)).collect();
-        let attempts = if cfg.chaos { CHAOS_ATTEMPTS } else { 1 };
-        let mut backoff = Backoff::for_client(0x6E6E);
-        let mut registered = Err("gnn register: no attempt made".to_string());
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                thread::sleep(backoff.next_delay());
-                let _ = probe.reconnect();
-            }
-            match probe.gnn_register(
-                "g0",
-                loaded.matrix_id,
-                kind,
-                wire_weights.clone(),
-                scalars.clone(),
-            ) {
-                Ok(ok) => {
-                    registered = Ok(ok);
-                    break;
-                }
-                Err(e) => registered = Err(format!("gnn register failed: {e}")),
-            }
-        }
-        let (model_id, _, layers) = registered?;
-        (loaded.matrix_id, model_id, layers as usize)
-    };
-    let _ = matrix_id;
+    // Register the graph, then the model against it.
+    let (kind, wire, scalars) = weights.export_wire();
+    let wire_weights: Vec<(u32, u32, Vec<f32>)> =
+        wire.into_iter().map(|(r, c, data)| (r as u32, c as u32, data)).collect();
+    let mut probe = connect(cfg)?;
+    let graph = registering(cfg, &mut probe, |c| c.load_matrix("g0", &adj))?.matrix_id;
+    let (model_id, _, layers) = registering(cfg, &mut probe, |c| {
+        c.gnn_register("g0", graph, kind, wire_weights.clone(), scalars.clone())
+    })?;
+    drop(probe);
+    let layers = layers as usize;
 
-    let issued = Arc::new(AtomicUsize::new(0));
-    let started = Instant::now();
-    let mut handles = Vec::new();
-    for w in 0..cfg.concurrency.max(1) {
-        let cfg = cfg.clone();
-        let issued = Arc::clone(&issued);
-        let variants = variants.clone();
-        let reference = reference.clone();
-        handles.push(thread::spawn(move || -> GnnWorkerTally {
-            let mut tally = GnnWorkerTally {
-                latencies: Vec::new(),
-                rejected: 0,
-                timed_out: 0,
-                errors: 0,
-                cache_hits: 0,
-                wrong: 0,
-                retried: 0,
-                layer_micros: vec![Vec::new(); layers],
-            };
-            let mut backoff = Backoff::for_client(w as u64);
-            let mut client = match ServeClient::connect_with_retry(&cfg.addr, cfg.ready_timeout) {
-                Ok(c) => c,
-                Err(_) => {
-                    tally.errors += 1;
-                    return tally;
-                }
-            };
-            loop {
-                let slot = issued.fetch_add(1, Ordering::Relaxed);
-                if slot >= cfg.requests {
-                    break;
-                }
-                if let Some(rps) = cfg.open_rps {
-                    let due = started + Duration::from_secs_f64(slot as f64 / rps);
-                    let now = Instant::now();
-                    if now < due {
-                        thread::sleep(due - now);
-                    }
-                    if started.elapsed() > cfg.duration {
-                        break;
-                    }
-                }
-                let variant = slot % variants.len();
-                let features = &variants[variant];
-                let t0 = Instant::now();
-                let result = if cfg.chaos {
-                    gnn_infer_retrying(
-                        &mut client,
-                        &cfg,
-                        "g0",
-                        model_id,
-                        cfg.gnn.map_or(2, |s| s.precision),
-                        features,
-                        CHAOS_ATTEMPTS,
-                        &mut backoff,
-                    )
-                } else {
-                    client.gnn_infer(
-                        "g0",
-                        model_id,
-                        cfg.gnn.map_or(2, |s| s.precision),
-                        cfg.deadline_ms,
-                        &[],
-                        features.rows(),
-                        features.cols(),
-                        features.as_slice(),
-                    )
-                };
-                tally.retried += u64::from(backoff.attempts());
-                backoff.reset();
-                match result {
-                    Ok(resp) => {
-                        let us = t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-                        tally.latencies.push(us);
-                        if resp.cache_hit {
-                            tally.cache_hits += 1;
-                        } else {
-                            for (layer, &us) in resp.layer_micros.iter().enumerate() {
-                                if let Some(bucket) = tally.layer_micros.get_mut(layer) {
-                                    bucket.push(us);
-                                }
-                            }
-                        }
-                        // Bit identity is the contract, in and out of
-                        // chaos: the serving path must replay the offline
-                        // forward pass exactly.
-                        let exp = &reference[variant];
-                        let same = resp.scores.len() == exp.len()
-                            && resp
-                                .scores
-                                .iter()
-                                .zip(exp.iter())
-                                .all(|(a, e)| a.to_bits() == e.to_bits());
-                        if !same {
-                            tally.wrong += 1;
-                        }
-                    }
-                    Err(ClientError::Server { code, .. }) => match code {
-                        crate::protocol::ErrorCode::QueueFull => tally.rejected += 1,
-                        crate::protocol::ErrorCode::DeadlineExceeded => tally.timed_out += 1,
-                        _ => tally.errors += 1,
-                    },
-                    Err(_) => {
-                        tally.errors += 1;
-                        match ServeClient::connect_with_retry(&cfg.addr, cfg.ready_timeout) {
-                            Ok(c) => client = c,
-                            Err(_) => break,
-                        }
-                    }
-                }
-            }
-            tally
-        }));
-    }
-
-    let mut latencies: Vec<u64> = Vec::new();
-    let mut layer_micros: Vec<Vec<u64>> = vec![Vec::new(); layers];
-    let mut report = LoadReport {
-        mode: "gnn".to_string(),
-        gnn_precision: spec.precision,
-        gnn_layers: layers as u64,
-        gnn_accuracy: test_accuracy,
-        ..LoadReport::default()
-    };
-    for h in handles {
-        match h.join() {
-            Ok(t) => {
-                latencies.extend(t.latencies);
-                for (layer, bucket) in t.layer_micros.into_iter().enumerate() {
-                    if let Some(dst) = layer_micros.get_mut(layer) {
-                        dst.extend(bucket);
-                    }
-                }
-                report.rejected += t.rejected;
-                report.timed_out += t.timed_out;
-                report.errors += t.errors;
-                report.cache_hits += t.cache_hits;
-                report.wrong += t.wrong;
-                report.retried += t.retried;
-            }
-            Err(_) => report.errors += 1,
-        }
-    }
-    let elapsed = started.elapsed();
-    latencies.sort_unstable();
-    report.completed = latencies.len() as u64;
-    report.duration_ms = elapsed.as_millis().min(u128::from(u64::MAX)) as u64;
-    report.rps = if elapsed.as_secs_f64() > 0.0 {
-        report.completed as f64 / elapsed.as_secs_f64()
-    } else {
-        0.0
-    };
-    report.p50_us = percentile(&latencies, 50.0);
-    report.p95_us = percentile(&latencies, 95.0);
-    report.p99_us = percentile(&latencies, 99.0);
-    report.mean_us = if latencies.is_empty() {
-        0
-    } else {
-        latencies.iter().sum::<u64>() / latencies.len() as u64
-    };
-    for bucket in &mut layer_micros {
-        bucket.sort_unstable();
-        report.gnn_layer_p50_us.push(percentile(bucket, 50.0));
-        report.gnn_layer_p95_us.push(percentile(bucket, 95.0));
-    }
-    attach_server_metrics(&mut report, cfg);
+    let mut report = drive(cfg, "gnn", layers, |client, _, slot| {
+        let variant = slot % variants.len();
+        let features = &variants[variant];
+        let resp = client.gnn_infer(
+            "g0",
+            model_id,
+            spec.precision,
+            cfg.deadline_ms,
+            &[],
+            features.rows(),
+            features.cols(),
+            features.as_slice(),
+        )?;
+        // Bit identity is the contract, in and out of chaos: the serving
+        // path must replay the offline forward pass exactly.
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        Ok(Sample {
+            cache_hit: resp.cache_hit,
+            wrong: bits(&resp.scores) != bits(reference[variant].as_slice()),
+            layer_micros: if resp.cache_hit { Vec::new() } else { resp.layer_micros },
+            ..Sample::default()
+        })
+    });
+    report.gnn_precision = spec.precision;
+    report.gnn_layers = layers as u64;
+    report.gnn_accuracy = test_accuracy;
     Ok(report)
-}
-
-struct GnnWorkerTally {
-    latencies: Vec<u64>,
-    rejected: u64,
-    timed_out: u64,
-    errors: u64,
-    cache_hits: u64,
-    wrong: u64,
-    retried: u64,
-    /// Per-layer server-side microseconds over cache misses.
-    layer_micros: Vec<Vec<u64>>,
 }
 
 #[cfg(test)]
@@ -1279,6 +952,67 @@ mod tests {
         ] {
             assert!(j.contains(key), "missing {key} in {j}");
         }
+    }
+
+    /// Every key, in order, for one fully populated report — the string
+    /// is what `to_json` produced for this value before the load driver
+    /// was unified, so scripts that `sed` fields out keep working.
+    #[test]
+    fn report_json_key_order_is_pinned() {
+        let r = LoadReport {
+            mode: "gnn".into(),
+            completed: 101,
+            rejected: 2,
+            timed_out: 3,
+            errors: 4,
+            cache_hits: 55,
+            duration_ms: 6789,
+            rps: 14.875,
+            p50_us: 1100,
+            p95_us: 2200,
+            p99_us: 3300,
+            mean_us: 1234,
+            cold_requests: 5,
+            cold_p99_us: 4242,
+            max_batch: 6,
+            wrong: 7,
+            retried: 8,
+            fallbacks: 9,
+            fast_launches: 10,
+            simulate_launches: 11,
+            validate_skips: 12,
+            degraded: 13,
+            shard_failures: 14,
+            server_addr: "127.0.0.1:7949".into(),
+            server_start_epoch: 1_700_000_000_123,
+            degraded_timeline: vec![0, 2, 1, 0],
+            heal_ticks: 15,
+            heal_repairs_completed: 16,
+            heal_last_repair_epoch: 17,
+            heal_rejoins: 18,
+            heal_shard_states: vec!["up".into(), "down".into(), "suspect".into()],
+            gnn_precision: 2,
+            gnn_layers: 2,
+            gnn_accuracy: 0.75,
+            gnn_layer_p50_us: vec![120, 80],
+            gnn_layer_p95_us: vec![300, 200],
+        };
+        assert_eq!(
+            r.to_json(),
+            concat!(
+                r#"{"mode":"gnn","completed":101,"rejected":2,"timed_out":3,"errors":4,"#,
+                r#""cache_hits":55,"cache_hit_rate":0.5445544554455446,"duration_ms":6789,"#,
+                r#""rps":14.875,"p50_us":1100,"p95_us":2200,"p99_us":3300,"mean_us":1234,"#,
+                r#""cold_requests":5,"cold_p99_us":4242,"max_batch":6,"wrong":7,"retried":8,"#,
+                r#""fallbacks":9,"fast_launches":10,"simulate_launches":11,"validate_skips":12,"#,
+                r#""degraded":13,"shard_failures":14,"server_addr":"127.0.0.1:7949","#,
+                r#""server_start_epoch":1700000000123,"degraded_timeline":[0,2,1,0],"#,
+                r#""heal_ticks":15,"heal_repairs_completed":16,"heal_last_repair_epoch":17,"#,
+                r#""heal_rejoins":18,"heal_shard_states":["up","down","suspect"],"#,
+                r#""gnn_precision":2,"gnn_layers":2,"gnn_accuracy":0.75,"#,
+                r#""gnn_layer_p50_us":[120,80],"gnn_layer_p95_us":[300,200]}"#,
+            )
+        );
     }
 
     #[test]

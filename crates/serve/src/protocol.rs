@@ -17,8 +17,9 @@
 //! in a body: little-endian integers and IEEE-754 bit patterns, `bool`
 //! as one byte, [`Counted<N>`] for strings and lists behind an `N`-typed
 //! length (`String` on its own is `u16`-counted, [`CooEntries`] is
-//! `u64`-counted), tuples, and [`DenseMatrix<f32>`] as `u32 rows ‖ u32
-//! cols ‖ rows·cols f32` moved as one slab. A dense payload is a typed
+//! `u64`-counted), tuples, `Option<T>` behind a one-byte tag, and
+//! [`DenseMatrix<f32>`] as `u32 rows ‖ u32 cols ‖ rows·cols f32` moved as
+//! one slab. A dense payload is a typed
 //! field, so dimensions that disagree with the data length cannot be
 //! written down, let alone sent.
 //!
@@ -26,7 +27,10 @@
 //! response a request draws, fields in wire order — in the `wire_enum!`
 //! invocations below; the enum, the encoder and the decoder are all
 //! derived from that declaration, and `fs-analyze` reads the same table.
-//! Adding opcode 13 is one declaration here plus its dispatch arm.
+//! Adding opcode 13 is one declaration here plus its dispatch arm. The
+//! declaration macros are exported, so a format that is not a socket
+//! message — the cluster journal's records — is declared the same way and
+//! moves through the same [`encode`] / [`frame`] / [`decode`].
 
 use std::io::{self, Read, Write};
 use std::marker::PhantomData;
@@ -80,8 +84,7 @@ fn seal_frame(frame: &mut [u8]) -> io::Result<()> {
 }
 
 /// The complete wire bytes of one frame around a copy of `payload` — for
-/// payloads that were not encoded behind their own header (the cluster
-/// journal's records).
+/// payloads that were not encoded behind their own header.
 pub fn frame_bytes(payload: &[u8]) -> io::Result<Vec<u8>> {
     let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + payload.len());
     out.extend_from_slice(&[0; FRAME_HEADER_BYTES]);
@@ -90,8 +93,7 @@ pub fn frame_bytes(payload: &[u8]) -> io::Result<Vec<u8>> {
     Ok(out)
 }
 
-/// Send one complete frame, as [`Request::frame`], [`Response::frame`]
-/// or [`frame_bytes`] built it.
+/// Send one complete frame, as [`frame`] or [`frame_bytes`] built it.
 pub fn write_frame(w: &mut impl Write, frame: &[u8]) -> io::Result<()> {
     w.write_all(frame)?;
     w.flush()
@@ -224,6 +226,16 @@ impl Wire for bool {
     }
 }
 
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn put(v: &(A, B), out: &mut Vec<u8>) -> Result<(), ProtoError> {
+        A::put(&v.0, out)?;
+        B::put(&v.1, out)
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<(A, B), ProtoError> {
+        Ok((A::get(c)?, B::get(c)?))
+    }
+}
+
 impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
     fn put(v: &(A, B, C), out: &mut Vec<u8>) -> Result<(), ProtoError> {
         A::put(&v.0, out)?;
@@ -232,6 +244,22 @@ impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
     }
     fn get(c: &mut Cursor<'_>) -> Result<(A, B, C), ProtoError> {
         Ok((A::get(c)?, B::get(c)?, C::get(c)?))
+    }
+}
+
+/// One tag byte — 0 for `None`, 1 for `Some` — then the value if there
+/// is one.
+impl<T: Wire> Wire for Option<T> {
+    fn put(v: &Option<T>, out: &mut Vec<u8>) -> Result<(), ProtoError> {
+        out.push(u8::from(v.is_some()));
+        v.iter().try_for_each(|value| T::put(value, out))
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<Option<T>, ProtoError> {
+        match u8::get(c)? {
+            0 => Ok(None),
+            1 => Ok(Some(T::get(c)?)),
+            tag => Err(ProtoError(format!("unknown option tag {tag}"))),
+        }
     }
 }
 
@@ -336,6 +364,7 @@ impl Wire for DenseMatrix<f32> {
 
 /// The form a field is encoded in: its own type, unless the declaration
 /// names one with `as`.
+#[macro_export]
 macro_rules! form {
     ($ty:ty) => {
         $ty
@@ -346,6 +375,7 @@ macro_rules! form {
 }
 
 /// Declare a struct whose fields, in declaration order, are its layout.
+#[macro_export]
 macro_rules! wire_struct {
     (
         $(#[$meta:meta])*
@@ -358,14 +388,18 @@ macro_rules! wire_struct {
             $($(#[$fmeta])* pub $field: $ty),*
         }
 
-        impl Wire for $name {
-            fn put(v: &$name, out: &mut Vec<u8>) -> Result<(), ProtoError> {
+        impl $crate::protocol::Wire for $name {
+            fn put(v: &$name, out: &mut Vec<u8>) -> Result<(), $crate::protocol::ProtoError> {
                 let $name { $($field),* } = v;
-                $(<form!($ty $(, $form)?) as Wire<$ty>>::put($field, out)?;)*
+                $(<$crate::form!($ty $(, $form)?) as $crate::protocol::Wire<$ty>>::put($field, out)?;)*
                 Ok(())
             }
-            fn get(c: &mut Cursor<'_>) -> Result<$name, ProtoError> {
-                Ok($name { $($field: <form!($ty $(, $form)?) as Wire<$ty>>::get(c)?),* })
+            fn get(
+                c: &mut $crate::protocol::Cursor<'_>,
+            ) -> Result<$name, $crate::protocol::ProtoError> {
+                Ok($name {
+                    $($field: <$crate::form!($ty $(, $form)?) as $crate::protocol::Wire<$ty>>::get(c)?),*
+                })
             }
         }
     };
@@ -377,6 +411,7 @@ macro_rules! wire_struct {
 /// the variant, read by `fs-analyze`); `as Form` is only needed where
 /// the type alone does not fix the layout. `$what` names the tag in the
 /// unknown-tag error.
+#[macro_export]
 macro_rules! wire_enum {
     (
         $(#[$meta:meta])*
@@ -398,61 +433,84 @@ macro_rules! wire_enum {
             ),*
         }
 
-        impl Wire for $name {
-            fn put(v: &$name, out: &mut Vec<u8>) -> Result<(), ProtoError> {
+        impl $crate::protocol::Wire for $name {
+            fn put(v: &$name, out: &mut Vec<u8>) -> Result<(), $crate::protocol::ProtoError> {
                 match v {
                     $($name::$variant $({ $($field),* })? => {
                         out.push($tag);
-                        $($(<form!($ty $(, $form)?) as Wire<$ty>>::put($field, out)?;)*)?
+                        $($(<$crate::form!($ty $(, $form)?) as $crate::protocol::Wire<$ty>>::put($field, out)?;)*)?
                     })*
                 }
                 Ok(())
             }
-            fn get(c: &mut Cursor<'_>) -> Result<$name, ProtoError> {
-                match u8::get(c)? {
+            fn get(
+                c: &mut $crate::protocol::Cursor<'_>,
+            ) -> Result<$name, $crate::protocol::ProtoError> {
+                match <u8 as $crate::protocol::Wire>::get(c)? {
                     $($tag => Ok($name::$variant $({
-                        $($field: <form!($ty $(, $form)?) as Wire<$ty>>::get(c)?),*
+                        $($field: <$crate::form!($ty $(, $form)?) as $crate::protocol::Wire<$ty>>::get(c)?),*
                     })?),)*
-                    tag => Err(ProtoError(format!(concat!("unknown ", $what, " {}"), tag))),
+                    tag => Err($crate::protocol::ProtoError(format!(
+                        concat!("unknown ", $what, " {}"),
+                        tag
+                    ))),
                 }
             }
         }
     };
 }
 
-/// Give a message enum its frame-level entry points. `$check`, when
-/// given, validates what the field types cannot before anything is
-/// encoded.
+/// Encode `message` behind `header` reserved bytes.
+fn encode_behind<M: Wire>(message: &M, header: usize) -> Result<Vec<u8>, ProtoError> {
+    let mut out = vec![0; header];
+    M::put(message, &mut out)?;
+    Ok(out)
+}
+
+/// Encode any declared message to a frame payload.
+pub fn encode<M: Wire>(message: &M) -> Result<Vec<u8>, ProtoError> {
+    encode_behind(message, 0)
+}
+
+/// Encode any declared message as one complete frame, ready for
+/// [`write_frame`]: the payload is written once, behind a reserved header
+/// that is then patched with its length and checksum.
+pub fn frame<M: Wire>(message: &M) -> Result<Vec<u8>, ProtoError> {
+    let mut frame = encode_behind(message, FRAME_HEADER_BYTES)?;
+    seal_frame(&mut frame).map_err(|e| ProtoError(e.to_string()))?;
+    Ok(frame)
+}
+
+/// Decode a frame payload that is exactly one `M`: truncation and
+/// trailing bytes are both errors.
+pub fn decode<M: Wire>(payload: &[u8]) -> Result<M, ProtoError> {
+    let mut c = Cursor::new(payload);
+    let message = M::get(&mut c)?;
+    c.done()?;
+    Ok(message)
+}
+
+/// Give a message enum [`encode`], [`frame`] and [`decode`] as methods.
+/// `$check`, when given, validates what the field types cannot before
+/// anything is encoded.
 macro_rules! framed_message {
     ($name:ident $(, $check:path)?) => {
         impl $name {
-            fn encode_behind(&self, header: usize) -> Result<Vec<u8>, ProtoError> {
-                $($check(self)?;)?
-                let mut out = vec![0; header];
-                $name::put(self, &mut out)?;
-                Ok(out)
-            }
-
             /// Encode to a frame payload.
             pub fn encode(&self) -> Result<Vec<u8>, ProtoError> {
-                self.encode_behind(0)
+                $($check(self)?;)?
+                encode(self)
             }
 
-            /// Encode as one complete frame, ready for [`write_frame`]:
-            /// the payload is written once, behind a reserved header that
-            /// is then patched with its length and checksum.
+            /// Encode as one complete frame, ready for [`write_frame`].
             pub fn frame(&self) -> Result<Vec<u8>, ProtoError> {
-                let mut frame = self.encode_behind(FRAME_HEADER_BYTES)?;
-                seal_frame(&mut frame).map_err(|e| ProtoError(e.to_string()))?;
-                Ok(frame)
+                $($check(self)?;)?
+                frame(self)
             }
 
             /// Decode a frame payload.
             pub fn decode(payload: &[u8]) -> Result<$name, ProtoError> {
-                let mut c = Cursor::new(payload);
-                let message = $name::get(&mut c)?;
-                c.done()?;
-                Ok(message)
+                decode(payload)
             }
         }
     };

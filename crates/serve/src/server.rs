@@ -347,7 +347,7 @@ fn dispatch(
                 Err(e) => {
                     return Response::Error {
                         code: ErrorCode::ResourceExhausted,
-                        message: e.to_string(),
+                        message: format!("matrix {e}"),
                     }
                 }
             };
@@ -504,6 +504,7 @@ fn gnn_error(e: GnnError) -> Response {
         GnnError::UnknownGraph(_) | GnnError::UnknownModel(_) => ErrorCode::UnknownMatrix,
         GnnError::BadRequest(_) => ErrorCode::BadRequest,
         GnnError::ResourceExhausted(_) => ErrorCode::ResourceExhausted,
+        GnnError::QueueFull => ErrorCode::QueueFull,
         GnnError::DeadlineExceeded => ErrorCode::DeadlineExceeded,
         GnnError::Internal(_) => ErrorCode::Internal,
     };

@@ -140,9 +140,11 @@ fn tcp_soak_with_kills_and_frame_faults_serves_no_wrong_bytes() {
 /// GNN inference under a seeded kernel-fault plan: the double-execution
 /// verifier absorbs injected fragment faults (retrying, never serving a
 /// corrupt score), and re-running the identical plan must reproduce
-/// identical response bytes, cache-hit flags, and fault counters —
-/// inference is synchronous on the calling thread, so a single-client
-/// soak consumes draw indices in a replayable order.
+/// identical response bytes, cache-hit flags, and fault counters — each
+/// inference is one job on a single-worker engine and the one client
+/// waits for its answer before sending the next, so the soak consumes
+/// draw indices (the worker's per-job kill/stall draws included) in a
+/// replayable order.
 #[test]
 fn seeded_gnn_soak_replays_identical_response_bytes() {
     let plan: FaultPlan = "seed=123;frag-bit=0.001".parse().expect("plan parses");
@@ -246,6 +248,13 @@ fn tcp_gnn_soak_with_transport_faults_serves_no_wrong_scores() {
 
     assert_eq!(report.mode, "gnn");
     assert_eq!(report.wrong, 0, "chaos must never corrupt a served score: {}", report.to_json());
+    // Inferences are jobs on the worker pool, so the plan's worker sites
+    // are drawn for them (a model registration is not a job).
+    let faults = fs_chaos::report();
+    for site in [FaultSite::WorkerKill, FaultSite::WorkerStall] {
+        let (evaluated, _) = faults.site(site);
+        assert!(evaluated > 0, "{site:?} was never evaluated for a GNN job");
+    }
     assert!(
         report.completed >= 30,
         "retries should recover most of the 60 requests: {}",

@@ -225,8 +225,8 @@ fn gnn_wire_errors_are_clean_and_survivable() {
 }
 
 /// Evicting the graph matrix invalidates the embedding cache of every
-/// model bound to it: the next inference misses and recomputes (here it
-/// fails cleanly, because the graph itself is gone).
+/// model bound to it, and removes those models: the next inference fails
+/// cleanly instead of answering from the cache.
 #[test]
 fn graph_eviction_invalidates_the_embedding_cache() {
     let fx = fixture();
@@ -256,7 +256,11 @@ fn graph_eviction_invalidates_the_embedding_cache() {
             features: fx.features.clone(),
         })
         .expect_err("graph is gone");
-    assert!(matches!(err, GnnError::UnknownGraph(_)), "{err}");
+    // The model went with its graph (matrix ids are never reused, so it
+    // could never be served again while still holding its share of the
+    // model budget) — `UnknownModel` where this used to be `UnknownGraph`.
+    // Both are `ErrorCode::UnknownMatrix` on the wire.
+    assert!(matches!(err, GnnError::UnknownModel(_)), "{err}");
     // The invalidation shows up in the metrics document.
     let metrics = engine.metrics_json();
     let gnn = metrics.find("\"gnn\":{").map(|i| &metrics[i..]).unwrap_or("");

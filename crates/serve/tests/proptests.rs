@@ -7,7 +7,8 @@ use flashsparse::{auto_tune, TranslatedMatrix};
 use fs_matrix::gen::random_uniform;
 use fs_matrix::{CsrMatrix, DenseMatrix};
 use fs_serve::{
-    CachedFormat, EngineConfig, Fingerprint, FormatCache, ServeEngine, SpmmOutcome, SpmmRequest,
+    ByteLru, CachedFormat, EngineConfig, Fingerprint, Footprint, FormatCache, ServeEngine,
+    SpmmOutcome, SpmmRequest,
 };
 use fs_tcu::GpuSpec;
 use proptest::prelude::*;
@@ -20,6 +21,44 @@ fn arb_csr() -> impl Strategy<Value = CsrMatrix<f32>> {
 fn translate(csr: &CsrMatrix<f32>, n: usize) -> CachedFormat {
     let choice = auto_tune(csr, n, GpuSpec::RTX4090);
     CachedFormat { translated: TranslatedMatrix::translate(csr, &choice), choice }
+}
+
+/// Drive `cache` through `ops` — `(entry index, operation)` — holding it
+/// to its budget, and its stats to its contents, after every step.
+fn churn<K: Copy + Eq + std::hash::Hash, V: Footprint>(
+    mut cache: ByteLru<K, V>,
+    ops: &[(usize, u8)],
+    key: impl Fn(usize) -> K,
+    value: impl Fn(usize) -> V,
+) {
+    let budget = cache.budget_bytes();
+    for &(idx, op) in ops {
+        match op {
+            0 => drop(cache.get(&key(idx))),
+            1 | 2 => drop(cache.insert(key(idx), value(idx))),
+            3 => drop(cache.replace(key(idx), value(idx))),
+            _ => {
+                let doomed = key(idx);
+                let resident = cache.stats().entries;
+                let dropped = cache.retain(|k| *k != doomed);
+                prop_assert_eq!(cache.stats().entries, resident - dropped);
+            }
+        }
+        prop_assert!(
+            cache.resident_bytes() <= budget,
+            "resident {} > budget {} after op {} on entry {}",
+            cache.resident_bytes(),
+            budget,
+            op,
+            idx
+        );
+    }
+    let s = cache.stats();
+    prop_assert!(s.resident_bytes <= s.budget_bytes);
+    prop_assert_eq!(s.resident_bytes, cache.resident_bytes());
+    // What is resident is exactly what the entries weigh.
+    cache.retain(|_| false);
+    prop_assert_eq!(cache.resident_bytes(), 0);
 }
 
 fn spmm_via_engine(cfg: EngineConfig, csr: &CsrMatrix<f32>, b: &DenseMatrix<f32>) -> Vec<Vec<f32>> {
@@ -46,15 +85,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The LRU never holds more resident bytes than its budget, across a
-    /// random interleaving of inserts, lookups, and duplicate inserts —
-    /// including budgets far too small for any single entry.
+    /// random interleaving of inserts, lookups, duplicate inserts,
+    /// replacements and invalidations — including budgets far too small
+    /// for any single entry — for both of its users: translated formats
+    /// keyed by fingerprint, and per-layer GNN embeddings.
     #[test]
     fn cache_never_exceeds_budget(
         budget_kb in 0usize..64,
-        ops in prop::collection::vec((0usize..12, 0u8..3), 1..40),
+        ops in prop::collection::vec((0usize..12, 0u8..5), 1..40),
     ) {
         let budget = budget_kb * 1024;
-        let mut cache = FormatCache::new(budget);
         // A small pool of distinct matrices to churn through.
         let pool: Vec<CsrMatrix<f32>> = (0..12)
             .map(|i| {
@@ -67,27 +107,10 @@ proptest! {
             })
             .collect();
         let fps: Vec<Fingerprint> = pool.iter().map(Fingerprint::of).collect();
-
-        for (idx, op) in ops {
-            match op {
-                0 => {
-                    let _ = cache.get(&fps[idx]);
-                }
-                _ => {
-                    let _ = cache.insert(fps[idx], translate(&pool[idx], 16));
-                }
-            }
-            prop_assert!(
-                cache.resident_bytes() <= budget,
-                "resident {} > budget {} after op on matrix {}",
-                cache.resident_bytes(),
-                budget,
-                idx
-            );
-        }
-        let s = cache.stats();
-        prop_assert!(s.resident_bytes <= s.budget_bytes);
-        prop_assert_eq!(s.resident_bytes, cache.resident_bytes());
+        churn(FormatCache::new(budget), &ops, |i| fps[i], |i| translate(&pool[i], 16));
+        // Two "layers" per embedding, growing with the index: 0.5–12 KiB.
+        let embedding = |i: usize| vec![DenseMatrix::<f32>::zeros(8 + 8 * i, 8); 2];
+        churn(ByteLru::new(budget), &ops, |i| (i as u64, 2u8), embedding);
     }
 
     /// A cache hit returns bit-identical SpMM output to the cold path:

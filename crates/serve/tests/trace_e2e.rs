@@ -86,8 +86,13 @@ fn chaos_soak_replays_identical_span_counts() {
 /// tracer armed; returns the registry's span counts after the engine
 /// has drained (mirrors the chaos_e2e replay harness).
 fn traced_soak(plan: &FaultPlan, requests: usize) -> Vec<(&'static str, u64)> {
-    let _chaos = ChaosScope::install(plan.clone());
+    // Trace scope first: it is what serializes this test against the
+    // chaos-free smoke test above, and the plan is process-global — one
+    // installed while that test still runs would have its kernels claim
+    // draw indices, shifting this soak's fault sequence but not its
+    // replay's.
     let _trace = TraceScope::armed();
+    let _chaos = ChaosScope::install(plan.clone());
     let e = ServeEngine::start(EngineConfig {
         workers: 1,
         max_batch: 1,
