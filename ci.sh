@@ -83,18 +83,22 @@ if ! awk -v n="$SITE_NS" 'BEGIN { exit !(n <= 100.0) }'; then
 fi
 echo "ci: disarmed span site ${SITE_NS} ns/call"
 
-echo "== pipelined cold-path gate"
-# Cold-request latency with the overlapped engine vs the classic
-# tune+translate-then-execute path, measured in-process at the serving
-# layer. The pipelined path must keep cold p95 at least 1.5x better —
-# the ISSUE's acceptance bar for taking auto-tune off the miss path.
+echo "== cold-path gate"
+# What a never-seen matrix costs its first caller, in units of a warm
+# request on the same (pipelined, default) engine: median first request
+# over median cache-hit request across 25 distinct matrices, measured
+# in-process at the serving layer. Ten runs on the change read 3.7-5.5
+# (the parent, whose background tuner cost 12 ms per new matrix, read
+# 7.9-10.6 with the same binary), so 7 leaves 25% headroom and still
+# fails if tuning or translation creeps back onto — or beside — the miss
+# path at anything like its old cost.
 ./target/release/pipeline_bench --out BENCH_pipeline.json
-COLD_SPEEDUP=$(sed -n 's/.*"cold_speedup_p95":\([0-9.]*\).*/\1/p' BENCH_pipeline.json)
-if ! awk -v s="$COLD_SPEEDUP" 'BEGIN { exit !(s >= 1.5) }'; then
-  echo "ci: pipelined cold p95 speedup regressed below 1.5x (${COLD_SPEEDUP}x)" >&2
+COLD_OVER_WARM=$(sed -n 's/.*"cold_over_warm_p50":\([0-9.]*\).*/\1/p' BENCH_pipeline.json)
+if ! awk -v r="${COLD_OVER_WARM:-99}" 'BEGIN { exit !(r <= 7.0) }'; then
+  echo "ci: a cold first request costs ${COLD_OVER_WARM}x a warm one (budget 7x)" >&2
   exit 1
 fi
-echo "ci: pipelined cold p95 speedup ${COLD_SPEEDUP}x"
+echo "ci: a cold first request costs ${COLD_OVER_WARM}x a warm one"
 
 echo "== serving smoke test (tracing armed)"
 # Start fs-serve on a loopback port with tracing armed, fire a short

@@ -9,7 +9,7 @@
 //! SpMM, so a cache can hold heterogeneous entries and a request path can
 //! stay monomorphic.
 
-use fs_format::{MeBcrs, MemoryFootprint, TcFormatSpec};
+use fs_format::{MeBcrs, MemoryFootprint};
 use fs_matrix::{CsrMatrix, DenseMatrix};
 use fs_precision::{Tf32, F16};
 use fs_tcu::{KernelCounters, Precision};
@@ -30,24 +30,17 @@ pub enum TranslatedMatrix {
 }
 
 impl TranslatedMatrix {
-    /// Translate `csr` into the layout `choice` requires. The values are
-    /// cast to the variant's storage precision during translation, exactly
-    /// as the one-off preprocessing would on hardware.
+    /// Translate `csr` into the layout `choice` requires. Each value is
+    /// cast to the variant's storage precision as it is scattered into the
+    /// layout ([`MeBcrs::from_csr_cast`]) — no typed copy of the CSR is
+    /// made — exactly as the one-off preprocessing would on hardware.
     pub fn translate(csr: &CsrMatrix<f32>, choice: &TuneChoice) -> TranslatedMatrix {
         let _span = fs_trace::span(fs_trace::Site::Translate);
+        let spec = choice.spec();
         match (choice.precision, choice.block_k) {
-            (Precision::Fp16, 8) => TranslatedMatrix::Fp16K8(MeBcrs::from_csr(
-                &csr.cast::<F16>(),
-                TcFormatSpec::FLASH_FP16,
-            )),
-            (Precision::Fp16, 16) => TranslatedMatrix::Fp16K16(MeBcrs::from_csr(
-                &csr.cast::<F16>(),
-                TcFormatSpec::FLASH_FP16_K16,
-            )),
-            (Precision::Tf32, 4) => TranslatedMatrix::Tf32K4(MeBcrs::from_csr(
-                &csr.cast::<Tf32>(),
-                TcFormatSpec::FLASH_TF32,
-            )),
+            (Precision::Fp16, 8) => TranslatedMatrix::Fp16K8(MeBcrs::from_csr_cast(csr, spec)),
+            (Precision::Fp16, 16) => TranslatedMatrix::Fp16K16(MeBcrs::from_csr_cast(csr, spec)),
+            (Precision::Tf32, 4) => TranslatedMatrix::Tf32K4(MeBcrs::from_csr_cast(csr, spec)),
             other => unreachable!("tuner never selects {other:?}"),
         }
     }

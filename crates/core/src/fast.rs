@@ -50,12 +50,18 @@
 //!   caller's element type ([`Operand::store`]): to `S` for the typed
 //!   entry points, straight to an f32 lattice point for the f32 ones —
 //!   no `S`-typed copy of B or C exists on the f32 path.
-//! * **Analytic counters.** MMA counts follow from block geometry;
-//!   memory transactions come from [`AnalyticCounter`] over closed-form
-//!   request spans ([`block_request_spans`]) instead of replaying
-//!   per-lane accesses. Full 16-column tiles shift every address by
-//!   16 elements × 2 or 4 bytes — a multiple of the 32-byte sector — so
-//!   one computation is committed once per full tile (`times`).
+//! * **Analytic counters, apart from the numerics.** A launch's
+//!   [`KernelCounters`] depend on the sparsity structure, `N`, the thread
+//!   mapping and the element width — never on a value — so they are
+//!   computed by one function over a [`Structure`] view
+//!   (`spmm_window_counters`) that the launch calls per window and
+//!   [`spmm_counters`] calls with no launch at all (the tuner's probe).
+//!   MMA counts follow from block geometry; memory transactions come from
+//!   [`AnalyticCounter`] over closed-form request spans
+//!   ([`block_request_spans`]) instead of replaying per-lane accesses.
+//!   Full 16-column tiles shift every address by 16 elements × 2 or 4
+//!   bytes — a multiple of the 32-byte sector — so one computation is
+//!   committed once per full tile (`times`).
 //! * **No per-launch validation walk.** Matrices carrying the
 //!   [`MeBcrs::is_validated`] witness skip it; unwitnessed ones are
 //!   checked once up front (the fast path has no sanitizer to report
@@ -85,7 +91,7 @@
 
 use std::cell::RefCell;
 
-use fs_format::MeBcrs;
+use fs_format::{MeBcrs, Structure};
 use fs_matrix::DenseMatrix;
 use fs_precision::Scalar;
 use fs_tcu::mma::round_operand;
@@ -257,47 +263,83 @@ pub(crate) fn spmm_fast_into<S: TcuPrecision, T: Operand<S>>(
     if n == 0 || rows == 0 {
         return KernelCounters::default();
     }
-    let load_spans = block_request_spans(mapping, shape.k);
-    let store_spans = block_request_spans(mapping, 8);
+    let spans = SpmmSpans::new(mapping, shape);
+    let structure = a.structure();
 
     // Every window (including the ragged final one) gets its true
     // `window_rows × n` slice.
     let window_len = |w: usize| (rows - w * v).min(v) * n;
     run_windows(a, out, window_len, sched.workers(), |w, out_window| {
         SCRATCH.with(|cell| {
+            let FastScratch { partial, c_tile, counter, .. } = &mut *cell.borrow_mut();
             let mut counters = KernelCounters::default();
-            spmm_window(
-                a,
-                panel,
-                w,
-                out_window,
-                shape,
-                &load_spans,
-                &store_spans,
-                &mut cell.borrow_mut(),
-                &mut counters,
-            );
+            spmm_window_counters(&structure, w, n, shape, &spans, counter, &mut counters);
+            spmm_window(a, panel, w, out_window, shape, partial, c_tile);
             counters
         })
     })
 }
 
-#[allow(clippy::too_many_arguments)]
-fn spmm_window<S: TcuPrecision, T: Operand<S>>(
-    a: &MeBcrs<S>,
-    panel: &Panel,
-    w: usize,
-    out_window: &mut [T],
+/// The warp-request shapes of one SpMM launch: dense-operand loads follow
+/// the MMA's `k`, output stores its 8 rows.
+struct SpmmSpans {
+    load: Vec<RequestSpan>,
+    store: Vec<RequestSpan>,
+}
+
+impl SpmmSpans {
+    fn new(mapping: ThreadMapping, shape: MmaShape) -> SpmmSpans {
+        SpmmSpans {
+            load: block_request_spans(mapping, shape.k),
+            store: block_request_spans(mapping, 8),
+        }
+    }
+}
+
+/// The [`KernelCounters`] of an SpMM launch over `structure` against an
+/// `n`-column dense operand — field for field what [`crate::spmm_with`]
+/// returns for a matrix of that structure under either [`ExecMode`], with
+/// no panel, no output, no values and no threads. The counters are a
+/// function of the sparsity structure, `n`, the mapping and the element
+/// width only, so this *is* the launch's counter pass (the fast launch
+/// calls the same per-window function), which is what lets the tuner score
+/// a configuration without running it.
+///
+/// [`ExecMode`]: fs_tcu::ExecMode
+pub fn spmm_counters(
+    structure: Structure<'_>,
+    n: usize,
+    mapping: ThreadMapping,
     shape: MmaShape,
-    load_spans: &[RequestSpan],
-    store_spans: &[RequestSpan],
-    scratch: &mut FastScratch,
+) -> KernelCounters {
+    let mut counters = KernelCounters::default();
+    if n == 0 || structure.rows == 0 {
+        return counters;
+    }
+    let spans = SpmmSpans::new(mapping, shape);
+    let mut ac = AnalyticCounter::new();
+    for w in 0..structure.num_windows() {
+        spmm_window_counters(&structure, w, n, shape, &spans, &mut ac, &mut counters);
+    }
+    counters
+}
+
+/// One window's share of an SpMM launch's counters: MMA geometry, then
+/// index, sparse-value and dense-operand loads per block, then the output
+/// store scatter.
+fn spmm_window_counters(
+    a: &Structure<'_>,
+    w: usize,
+    n: usize,
+    shape: MmaShape,
+    spans: &SpmmSpans,
+    ac: &mut AnalyticCounter,
     counters: &mut KernelCounters,
 ) {
     let v = shape.n;
     let k = shape.k;
-    let n = panel.cols();
-    let window_rows = (a.rows() - w * v).min(v);
+    let bytes = a.elem_bytes;
+    let window_rows = (a.rows - w * v).min(v);
     let num_blocks = a.blocks_in_window(w);
     if num_blocks == 0 {
         return;
@@ -311,55 +353,48 @@ fn spmm_window<S: TcuPrecision, T: Operand<S>>(
     counters.mma_count += num_blocks as u64 * n_tiles;
     counters.tcu_flops += num_blocks as u64 * n_tiles * shape.flops();
 
-    let FastScratch { partial, c_tile: acc, counter: ac, .. } = scratch;
-
     // ---- Memory traffic, one pass over the blocks. ----
     for blk in 0..num_blocks {
         let w_b = a.block_width(w, blk);
         let cols = a.block_cols(w, blk);
 
         // Column indices: one request per block, once per window.
-        ac.range((a.window_ptr()[w] + blk * k) as u64 * 4, w_b as u64 * 4);
+        ac.range((a.window_ptr[w] + blk * k) as u64 * 4, w_b as u64 * 4);
         ac.load(TrafficClass::Indices, counters, 1);
 
         // Sparse values: one warp request per block whose lanes cover,
         // for each of the 8 fragment rows, the row's full `w_b` elements
         // contiguously (FP16 paired 4-byte loads + ragged 2-byte tail,
         // TF32 per-lane 4-byte loads — both unions are the whole row).
-        // The request addresses are tile-independent, so it repeats
-        // verbatim at every column tile.
-        for g in 0..8 {
-            ac.range(a.value_addr(w, blk, g, 0), (w_b * S::BYTES) as u64);
-        }
+        // A block stores its rows back to back, so the eight row ranges
+        // are one range: the whole block. The request addresses are
+        // tile-independent, so it repeats verbatim at every column tile.
+        ac.range(a.value_addr(w, blk, 0, 0), (8 * w_b * bytes) as u64);
         ac.load(TrafficClass::SparseValues, counters, n_tiles);
 
         // Dense operand: full tiles shift addresses by 32 or 64 bytes —
         // whole sectors — so one computation covers them all; the ragged
         // tail tile is computed separately.
         if full_tiles > 0 {
-            dense_loads::<S>(ac, counters, n, cols, w_b, 0, N_TILE, load_spans, full_tiles as u64);
+            dense_loads(ac, counters, bytes, n, cols, 0, N_TILE, &spans.load, full_tiles as u64);
         }
         if ragged > 0 {
             let j0 = full_tiles * N_TILE;
-            dense_loads::<S>(ac, counters, n, cols, w_b, j0, ragged, load_spans, 1);
+            dense_loads(ac, counters, bytes, n, cols, j0, ragged, &spans.load, 1);
         }
     }
 
     // ---- Output stores: same tile-shift collapse. ----
-    let out_base = (w * v) as u64 * n as u64 * S::BYTES as u64;
-    let store = |ac: &mut AnalyticCounter,
-                 counters: &mut KernelCounters,
-                 j0: usize,
-                 tile_cols: usize,
-                 times: u64| {
-        for span in store_spans {
+    let out_base = (w * v) as u64 * n as u64 * bytes as u64;
+    let mut store = |j0: usize, tile_cols: usize, times: u64| {
+        for span in &spans.store {
             let width = span.col_hi.min(tile_cols).saturating_sub(span.col_lo);
             if width > 0 {
                 for &r in &span.rows {
                     if r < window_rows {
                         ac.range(
-                            out_base + ((r * n + j0 + span.col_lo) * S::BYTES) as u64,
-                            (width * S::BYTES) as u64,
+                            out_base + ((r * n + j0 + span.col_lo) * bytes) as u64,
+                            (width * bytes) as u64,
                         );
                     }
                 }
@@ -368,13 +403,32 @@ fn spmm_window<S: TcuPrecision, T: Operand<S>>(
         }
     };
     if full_tiles > 0 {
-        store(ac, counters, 0, N_TILE, full_tiles as u64);
+        store(0, N_TILE, full_tiles as u64);
     }
     if ragged > 0 {
-        store(ac, counters, full_tiles * N_TILE, ragged, 1);
+        store(full_tiles * N_TILE, ragged, 1);
+    }
+}
+
+/// One window's numerics: row axpy over the staged panel (module doc).
+fn spmm_window<S: TcuPrecision, T: Operand<S>>(
+    a: &MeBcrs<S>,
+    panel: &Panel,
+    w: usize,
+    out_window: &mut [T],
+    shape: MmaShape,
+    partial: &mut Vec<f32>,
+    acc: &mut Vec<f32>,
+) {
+    let v = shape.n;
+    let k = shape.k;
+    let n = panel.cols();
+    let window_rows = (a.rows() - w * v).min(v);
+    let num_blocks = a.blocks_in_window(w);
+    if num_blocks == 0 {
+        return;
     }
 
-    // ---- Numerics: row axpy over the staged panel. ----
     let stored = &a.values()[a.window_ptr()[w] * v..a.window_ptr()[w + 1] * v];
     let skip_zeros = panel.finite;
     reserve(acc, v * COL_TILE);
@@ -435,16 +489,16 @@ fn spmm_window<S: TcuPrecision, T: Operand<S>>(
 }
 
 /// Commit one column tile's dense-operand requests from the closed-form
-/// spans, clipped to the valid row (`w_b`) and column (`tile_cols`)
-/// prefixes. Addresses are those of the `S`-typed `rows × n` operand the
-/// simulated kernel loads.
+/// spans, clipped to the block's valid rows (`cols.len()`) and the tile's
+/// valid columns (`tile_cols`). Addresses are those of the `bytes`-wide
+/// typed `rows × n` operand the simulated kernel loads.
 #[allow(clippy::too_many_arguments)]
-fn dense_loads<S: TcuPrecision>(
+fn dense_loads(
     ac: &mut AnalyticCounter,
     counters: &mut KernelCounters,
+    bytes: usize,
     n: usize,
     cols: &[u32],
-    w_b: usize,
     j0: usize,
     tile_cols: usize,
     spans: &[RequestSpan],
@@ -454,10 +508,10 @@ fn dense_loads<S: TcuPrecision>(
         let width = span.col_hi.min(tile_cols).saturating_sub(span.col_lo);
         if width > 0 {
             for &r in &span.rows {
-                if r < w_b {
+                if r < cols.len() {
                     ac.range(
-                        ((cols[r] as usize * n + j0 + span.col_lo) * S::BYTES) as u64,
-                        (width * S::BYTES) as u64,
+                        ((cols[r] as usize * n + j0 + span.col_lo) * bytes) as u64,
+                        (width * bytes) as u64,
                     );
                 }
             }

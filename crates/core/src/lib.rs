@@ -64,6 +64,7 @@ pub mod variant;
 
 pub use api::FlashSparseMatrix;
 pub use dispatch::TranslatedMatrix;
+pub use fast::spmm_counters;
 pub use fs_tcu::ExecMode;
 pub use pipeline::{spmm_overlapped, ExecPlan, SchedMode};
 pub use resilient::{

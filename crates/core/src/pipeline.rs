@@ -202,7 +202,6 @@ fn overlapped_impl<S: TcuPrecision>(
     sched: SchedMode,
     variant: fn(MeBcrs<S>) -> TranslatedMatrix,
 ) -> (DenseMatrix<f32>, KernelCounters, TranslatedMatrix) {
-    let csr = &csr.cast::<S>();
     let spec = choice.spec();
     let shape = kernel_shape::<S>(spec);
     let rows = csr.rows();
@@ -220,7 +219,7 @@ fn overlapped_impl<S: TcuPrecision>(
             while lo < rows {
                 let hi = (lo + slab_rows).min(rows);
                 let _span = fs_trace::span(fs_trace::Site::PipelineStage);
-                let slab = MeBcrs::from_csr(&csr.slice_rows(lo, hi), spec);
+                let slab = MeBcrs::from_csr_rows_cast(csr, lo..hi, spec);
                 if tx.send((lo, slab)).is_err() {
                     return; // compute side is gone (it panicked); stop staging
                 }

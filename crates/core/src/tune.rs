@@ -7,19 +7,36 @@
 //! bytes but TF32 keeps f32 range; k=16 halves MMA instructions but pads
 //! ragged blocks harder.
 //!
-//! [`auto_tune`] runs every candidate on a bounded *sample* of the matrix
-//! (the first rows, enough windows to be representative), scores the
-//! simulated time on the target GPU, and returns the winner — the usual
-//! inspector/executor pattern.
+//! [`auto_tune`] scores every candidate on a bounded *sample* of the
+//! matrix (the first rows, enough windows to be representative) by its
+//! simulated time on the target GPU and returns the winner — the usual
+//! inspector/executor pattern. Scoring a candidate means feeding the
+//! [`KernelCounters`] of its SpMM on the sample to the cost model, and
+//! those counters are a function of the sample's sparsity pattern, the
+//! dense width, the thread mapping and the element width — never of a
+//! value. So nothing is run: one [`WindowPattern`] pass over the sample's
+//! rows (all three layouts use 8×1 vectors and differ only in block width
+//! and element bytes) is viewed as each layout in turn and handed to
+//! [`spmm_counters`], the same per-window counter function a launch
+//! calls. The result is therefore exactly what launching every candidate
+//! would have produced, `sampled_time` to the last bit.
+//!
+//! Under a chaos or sanitize scope ([`ExecMode::auto`] is not `Fast`)
+//! kernels run on the simulator so that faults land and violations are
+//! attributed, and the tuner does the same: it translates the sample and
+//! launches the six candidates (`tune_by_launching`), which is also the
+//! oracle the closed form is tested against.
 
-use fs_format::{MeBcrs, TcFormatSpec};
+use fs_format::{MeBcrs, TcFormatSpec, WindowPattern};
 use fs_matrix::{CsrMatrix, DenseMatrix};
 use fs_precision::{Tf32, F16};
 use fs_tcu::cost::{ComputeClass, CostModel};
-use fs_tcu::{GpuSpec, Precision};
+use fs_tcu::{ExecMode, GpuSpec, KernelCounters, Precision};
 
-use crate::spmm::{spmm, spmm_fp16_k16};
+use crate::fast::spmm_counters;
+use crate::spmm::{kernel_shape, spmm, spmm_fp16_k16};
 use crate::thread_map::ThreadMapping;
+use crate::variant::TcuPrecision;
 
 /// A tuned kernel configuration.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -118,13 +135,16 @@ impl TuneChoice {
 /// Rows sampled for probing (a few hundred windows).
 const SAMPLE_ROWS: usize = 2048;
 
-/// Probe every FlashSparse configuration on a sample of `csr` and return
+/// Widest dense operand the sample is probed at.
+const SAMPLE_WIDTH: usize = 64;
+
+/// Score every FlashSparse configuration on a sample of `csr` and return
 /// the one with the lowest simulated SpMM time for dense width `n` on
 /// `gpu`.
 ///
-/// If the caller will run *many* SpMMs (e.g. GNN training), the probing
-/// cost — a handful of sample-sized kernel simulations — amortizes away,
-/// mirroring the paper's one-off preprocessing argument.
+/// The cost is one pattern pass over the sample's rows plus six counter
+/// evaluations (module doc) — the order of one translation of the sample,
+/// where launching the candidates cost about ten.
 pub fn auto_tune(csr: &CsrMatrix<f32>, n: usize, gpu: GpuSpec) -> TuneChoice {
     let _span = fs_trace::span(fs_trace::Site::Tune);
     // Degenerate inputs — nothing to sample, or a zero-width dense operand —
@@ -133,16 +153,64 @@ pub fn auto_tune(csr: &CsrMatrix<f32>, n: usize, gpu: GpuSpec) -> TuneChoice {
     if csr.rows() == 0 || csr.cols() == 0 || csr.nnz() == 0 || n == 0 {
         return TuneChoice::FALLBACK;
     }
-    let sample = csr.head_rows(SAMPLE_ROWS.min(csr.rows()));
-    let model = CostModel::new(gpu);
-    let b16 = DenseMatrix::<F16>::zeros(sample.cols(), n.min(64));
-    let b32 = DenseMatrix::<Tf32>::zeros(sample.cols(), n.min(64));
+    if !ExecMode::auto().is_fast() {
+        return tune_by_launching(csr, n, gpu);
+    }
+    let rows = SAMPLE_ROWS.min(csr.rows());
+    let pattern = WindowPattern::from_csr_rows(csr, 0..rows, TcFormatSpec::FLASH_FP16.vector_len);
+    fn probe<S: TcuPrecision>(
+        pattern: &WindowPattern,
+        spec: TcFormatSpec,
+        n: usize,
+        mapping: ThreadMapping,
+    ) -> KernelCounters {
+        let structure = pattern.structure(spec.block_k, S::BYTES);
+        spmm_counters(structure, n, mapping, kernel_shape::<S>(spec))
+    }
+    let n = n.min(SAMPLE_WIDTH);
+    first_minimum(gpu, |precision, spec, mapping| match precision {
+        Precision::Fp16 => probe::<F16>(&pattern, spec, n, mapping),
+        Precision::Tf32 => probe::<Tf32>(&pattern, spec, n, mapping),
+    })
+}
 
+/// The six candidates in probe order, each scored by the cost model on
+/// the counters `probe` reports for it; the first strict minimum wins.
+fn first_minimum(
+    gpu: GpuSpec,
+    mut probe: impl FnMut(Precision, TcFormatSpec, ThreadMapping) -> KernelCounters,
+) -> TuneChoice {
+    let model = CostModel::new(gpu);
     let mut best: Option<TuneChoice> = None;
-    let mut consider = |choice: TuneChoice| match best {
-        Some(b) if b.sampled_time <= choice.sampled_time => {}
-        _ => best = Some(choice),
-    };
+    for mapping in [ThreadMapping::MemoryEfficient, ThreadMapping::Direct] {
+        for (precision, spec) in [
+            (Precision::Fp16, TcFormatSpec::FLASH_FP16),
+            (Precision::Fp16, TcFormatSpec::FLASH_FP16_K16),
+            (Precision::Tf32, TcFormatSpec::FLASH_TF32),
+        ] {
+            let counters = probe(precision, spec, mapping);
+            let sampled_time = model.kernel_time(&counters, ComputeClass::tcu(precision));
+            if !best.is_some_and(|b| b.sampled_time <= sampled_time) {
+                let block_k = spec.block_k;
+                best = Some(TuneChoice { precision, block_k, mapping, sampled_time });
+            }
+        }
+    }
+    best.expect("at least one configuration probed") // lint: allow-panic - probe list is non-empty by construction
+}
+
+/// [`auto_tune`] by running the candidates: copy the sample, translate it
+/// once per layout and launch all six SpMMs against a zero operand for
+/// their counters. What the tuner does when kernels route to the
+/// simulator (the launches are where chaos faults are drawn and sanitizer
+/// violations recorded), and the oracle for the closed form
+/// (`tests/tune_closed_form.rs`) — public for that test only; callers
+/// want [`auto_tune`], which alone decides when this runs.
+#[doc(hidden)]
+pub fn tune_by_launching(csr: &CsrMatrix<f32>, n: usize, gpu: GpuSpec) -> TuneChoice {
+    let sample = csr.head_rows(SAMPLE_ROWS.min(csr.rows()));
+    let b16 = DenseMatrix::<F16>::zeros(sample.cols(), n.min(SAMPLE_WIDTH));
+    let b32 = DenseMatrix::<Tf32>::zeros(sample.cols(), n.min(SAMPLE_WIDTH));
 
     // One translation per layout; both mappings probe the same format
     // (the mapping only changes how the kernel addresses it).
@@ -151,30 +219,11 @@ pub fn auto_tune(csr: &CsrMatrix<f32>, n: usize, gpu: GpuSpec) -> TuneChoice {
     let me_k16 = MeBcrs::from_csr(&sample16, TcFormatSpec::FLASH_FP16_K16);
     let me_tf32 = MeBcrs::from_csr(&sample.cast::<Tf32>(), TcFormatSpec::FLASH_TF32);
 
-    for mapping in [ThreadMapping::MemoryEfficient, ThreadMapping::Direct] {
-        let (_, k) = spmm(&me_k8, &b16, mapping);
-        consider(TuneChoice {
-            precision: Precision::Fp16,
-            block_k: 8,
-            mapping,
-            sampled_time: model.kernel_time(&k, ComputeClass::TcuFp16),
-        });
-        let (_, k) = spmm_fp16_k16(&me_k16, &b16, mapping);
-        consider(TuneChoice {
-            precision: Precision::Fp16,
-            block_k: 16,
-            mapping,
-            sampled_time: model.kernel_time(&k, ComputeClass::TcuFp16),
-        });
-        let (_, k) = spmm(&me_tf32, &b32, mapping);
-        consider(TuneChoice {
-            precision: Precision::Tf32,
-            block_k: 4,
-            mapping,
-            sampled_time: model.kernel_time(&k, ComputeClass::TcuTf32),
-        });
-    }
-    best.expect("at least one configuration probed") // lint: allow-panic - probe list is non-empty by construction
+    first_minimum(gpu, |precision, spec, mapping| match (precision, spec.block_k) {
+        (Precision::Fp16, 16) => spmm_fp16_k16(&me_k16, &b16, mapping).1,
+        (Precision::Fp16, _) => spmm(&me_k8, &b16, mapping).1,
+        (Precision::Tf32, _) => spmm(&me_tf32, &b32, mapping).1,
+    })
 }
 
 #[cfg(test)]
@@ -252,72 +301,6 @@ mod tests {
             }
         }
         assert_eq!(names.len(), 6);
-    }
-
-    /// The probe as it ran before the sample layouts were hoisted: a
-    /// fresh translation for every (mapping, variant) pair.
-    fn tune_translating_per_probe(csr: &CsrMatrix<f32>, n: usize, gpu: GpuSpec) -> TuneChoice {
-        let sample = csr.head_rows(SAMPLE_ROWS.min(csr.rows()));
-        let model = CostModel::new(gpu);
-        let b16 = DenseMatrix::<F16>::zeros(sample.cols(), n.min(64));
-        let b32 = DenseMatrix::<Tf32>::zeros(sample.cols(), n.min(64));
-        let mut probes = Vec::new();
-        for mapping in [ThreadMapping::MemoryEfficient, ThreadMapping::Direct] {
-            let me = MeBcrs::from_csr(&sample.cast::<F16>(), TcFormatSpec::FLASH_FP16);
-            let (_, k) = spmm(&me, &b16, mapping);
-            probes.push((
-                Precision::Fp16,
-                8,
-                mapping,
-                model.kernel_time(&k, ComputeClass::TcuFp16),
-            ));
-            let me = MeBcrs::from_csr(&sample.cast::<F16>(), TcFormatSpec::FLASH_FP16_K16);
-            let (_, k) = spmm_fp16_k16(&me, &b16, mapping);
-            probes.push((
-                Precision::Fp16,
-                16,
-                mapping,
-                model.kernel_time(&k, ComputeClass::TcuFp16),
-            ));
-            let me = MeBcrs::from_csr(&sample.cast::<Tf32>(), TcFormatSpec::FLASH_TF32);
-            let (_, k) = spmm(&me, &b32, mapping);
-            probes.push((
-                Precision::Tf32,
-                4,
-                mapping,
-                model.kernel_time(&k, ComputeClass::TcuTf32),
-            ));
-        }
-        // First strict minimum wins, as in `auto_tune`.
-        let mut best = probes[0];
-        for p in &probes[1..] {
-            if p.3 < best.3 {
-                best = *p;
-            }
-        }
-        TuneChoice { precision: best.0, block_k: best.1, mapping: best.2, sampled_time: best.3 }
-    }
-
-    #[test]
-    fn translating_each_layout_once_changes_no_choice() {
-        // The matrices of the tests above, each at its own width and GPU.
-        let cases = [
-            (
-                CsrMatrix::from_coo(&rmat::<f32>(8, 4, RmatConfig::GRAPH500, true, 3)),
-                128,
-                GpuSpec::RTX4090,
-            ),
-            (
-                CsrMatrix::from_coo(&random_uniform::<f32>(512, 512, 6000, 5)),
-                128,
-                GpuSpec::H100_PCIE,
-            ),
-            (CsrMatrix::from_coo(&random_uniform::<f32>(256, 256, 2000, 4)), 64, GpuSpec::RTX4090),
-            (CsrMatrix::from_coo(&random_uniform::<f32>(256, 256, 2000, 9)), 64, GpuSpec::RTX4090),
-        ];
-        for (csr, n, gpu) in cases {
-            assert_eq!(auto_tune(&csr, n, gpu), tune_translating_per_probe(&csr, n, gpu));
-        }
     }
 
     #[test]

@@ -15,13 +15,14 @@
 //! would otherwise flip concurrently-running launches into Simulate).
 
 use flashsparse::{
-    sddmm_with, spmm, spmm_fp16_k16, spmm_with, ExecPlan, SchedMode, TcuPrecision, ThreadMapping,
+    sddmm_with, spmm, spmm_counters, spmm_fp16_k16, spmm_with, ExecPlan, SchedMode, TcuPrecision,
+    ThreadMapping,
 };
-use fs_format::{MeBcrs, TcFormatSpec};
+use fs_format::{MeBcrs, TcFormatSpec, WindowPattern};
 use fs_matrix::gen::random_uniform;
-use fs_matrix::{CsrMatrix, DenseMatrix};
+use fs_matrix::{CooMatrix, CsrMatrix, DenseMatrix};
 use fs_precision::{Scalar, Tf32, F16};
-use fs_tcu::ExecMode;
+use fs_tcu::{ExecMode, MmaShape};
 use proptest::prelude::*;
 
 const MAPPINGS: [ThreadMapping; 2] = [ThreadMapping::Direct, ThreadMapping::MemoryEfficient];
@@ -159,6 +160,66 @@ fn salted_dense(rows: usize, n: usize, seed: u64, special_mask: u16) -> DenseMat
             None => ((h as f32) - 11.0) * 0.25,
         }
     })
+}
+
+/// A sparsity structure with the shapes block geometry must get right:
+/// empty rows and a run of empty windows, a ragged last window (or fewer
+/// rows than one window), one fully dense row, and a window's rows
+/// landing on a handful of shared columns.
+fn awkward_structure(rows: usize, cols: usize, per_row: usize, seed: u64) -> CsrMatrix<f32> {
+    let pick = |salt: u64, bound: usize| {
+        let h = (seed ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        ((h ^ h >> 29) % bound as u64) as usize
+    };
+    let dense_row = pick(1, rows);
+    let empty_from = pick(2, rows + 1);
+    let mut coo = CooMatrix::new(rows, cols);
+    for r in 0..rows {
+        if r == dense_row {
+            (0..cols).for_each(|c| coo.push(r, c, 1.0));
+        } else if r % 3 != 0 && !(empty_from..empty_from + 17).contains(&r) {
+            let base = pick(3 + (r / 8) as u64, cols);
+            (0..per_row).for_each(|i| coo.push(r, (base + i * (1 + r % 4)) % cols, 0.5));
+        }
+    }
+    CsrMatrix::from_coo(&coo)
+}
+
+/// [`spmm_counters`] over the matrix's own structure, and over a
+/// value-free [`WindowPattern`] viewed as this layout (the tuner's
+/// route), against the counters a launch returns in both modes.
+fn check_counters<S: TcuPrecision>(spec: TcFormatSpec, shape: MmaShape, csr: &CsrMatrix<f32>) {
+    let me = MeBcrs::<S>::from_csr_cast(csr, spec);
+    let pattern = WindowPattern::from_csr_rows(csr, 0..csr.rows(), spec.vector_len);
+    for n in [1usize, 15, 16, 17, 64, 128, 300] {
+        let b = DenseMatrix::<S>::zeros(csr.cols(), n);
+        for mapping in MAPPINGS {
+            let what = format!("{} k{} {mapping:?} n={n}", S::NAME, spec.block_k);
+            let (_, k_sim) = spmm_with(&me, &b, mapping, ORACLE);
+            let (_, k_fast) = spmm_with(&me, &b, mapping, FAST);
+            assert_eq!(k_sim, k_fast, "{what} fast launch");
+            assert_eq!(k_sim, spmm_counters(me.structure(), n, mapping, shape), "{what} structure");
+            let view = pattern.structure(spec.block_k, S::BYTES);
+            assert_eq!(k_sim, spmm_counters(view, n, mapping, shape), "{what} pattern view");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The probe is the launch's counters: every field, three layouts,
+    /// both mappings, dense widths on and off the 16-wide tile.
+    #[test]
+    fn spmm_counters_are_the_launch_counters(
+        case in (1usize..60, 1usize..70, 0usize..9, 0u64..1_000_000)
+    ) {
+        let (rows, cols, per_row, seed) = case;
+        let csr = awkward_structure(rows, cols, per_row, seed);
+        check_counters::<F16>(F16::SPEC, F16::SHAPE, &csr);
+        check_counters::<F16>(TcFormatSpec::FLASH_FP16_K16, MmaShape::M16N8K16_F16, &csr);
+        check_counters::<Tf32>(Tf32::SPEC, Tf32::SHAPE, &csr);
+    }
 }
 
 proptest! {

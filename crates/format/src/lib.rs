@@ -48,7 +48,7 @@ pub mod stats;
 pub mod validate;
 
 pub use footprint::MemoryFootprint;
-pub use mebcrs::MeBcrs;
+pub use mebcrs::{MeBcrs, Structure, WindowPattern};
 pub use spec::TcFormatSpec;
 pub use srbcrs::SrBcrs;
 pub use stats::{footprint_reduction, vector_stats, VectorStats};

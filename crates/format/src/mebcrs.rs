@@ -13,9 +13,10 @@
 //!    wide). No zero vectors are ever materialized; the kernels handle the
 //!    residue block with modulo arithmetic, exactly as the paper describes.
 
+use std::ops::Range;
+
 use fs_matrix::{CsrMatrix, DenseMatrix};
 use fs_precision::Scalar;
-use rayon::prelude::*;
 
 use crate::spec::TcFormatSpec;
 
@@ -53,11 +54,152 @@ impl<S: Scalar> PartialEq for MeBcrs<S> {
     }
 }
 
+/// Which `v×1` vectors of a CSR row range are nonzero: per row window, the
+/// sorted distinct columns its rows touch. This is the part of an ME-BCRS
+/// translation that reads no value and does not depend on the block width,
+/// so every layout of one vector height shares it — translation scatters
+/// values on top of it, and the tuner scores all of its candidate layouts
+/// from one pass ([`WindowPattern::structure`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct WindowPattern {
+    vector_len: usize,
+    rows: usize,
+    window_ptr: Vec<usize>,
+    col_indices: Vec<u32>,
+}
+
+impl WindowPattern {
+    /// The pattern of rows `rows` of `csr` (windows start at `rows.start`).
+    ///
+    /// One pass over the range's column indices: a window's rows are
+    /// adjacent in CSR, so its columns are one contiguous slice, appended
+    /// to `col_indices`, sorted and de-duplicated in place.
+    ///
+    /// # Panics
+    /// Panics if `rows` is not within `0..=csr.rows()`.
+    pub fn from_csr_rows<T: Scalar>(
+        csr: &CsrMatrix<T>,
+        rows: Range<usize>,
+        vector_len: usize,
+    ) -> WindowPattern {
+        assert!(rows.start <= rows.end && rows.end <= csr.rows(), "row range out of bounds");
+        let row_ptr = csr.row_ptr();
+        let num_rows = rows.end - rows.start;
+        let mut window_ptr = Vec::with_capacity(num_rows.div_ceil(vector_len) + 1);
+        window_ptr.push(0usize);
+        let mut col_indices: Vec<u32> = Vec::with_capacity(row_ptr[rows.end] - row_ptr[rows.start]);
+        for lo in rows.clone().step_by(vector_len) {
+            let hi = (lo + vector_len).min(rows.end);
+            let start = col_indices.len();
+            col_indices.extend_from_slice(&csr.col_idx()[row_ptr[lo]..row_ptr[hi]]);
+            let window = &mut col_indices[start..];
+            window.sort_unstable();
+            // `dedup` on the tail only: keep the first of each run.
+            let mut kept = 0;
+            for i in 0..window.len() {
+                if i == 0 || window[i] != window[kept - 1] {
+                    window[kept] = window[i];
+                    kept += 1;
+                }
+            }
+            col_indices.truncate(start + kept);
+            window_ptr.push(col_indices.len());
+        }
+        WindowPattern { vector_len, rows: num_rows, window_ptr, col_indices }
+    }
+
+    /// View the pattern as the structure of the layout with `block_k`
+    /// vectors per TC block and `elem_bytes`-wide values.
+    pub fn structure(&self, block_k: usize, elem_bytes: usize) -> Structure<'_> {
+        Structure {
+            spec: TcFormatSpec { vector_len: self.vector_len, block_k },
+            rows: self.rows,
+            window_ptr: &self.window_ptr,
+            col_indices: &self.col_indices,
+            elem_bytes,
+        }
+    }
+}
+
+/// Everything about an ME-BCRS matrix except its values: the layout, the
+/// RowPointers and ColumnIndices arrays and the element width. Block
+/// geometry and value *addresses* follow from these alone, which is why a
+/// kernel's counters can be computed from a `Structure` with no values in
+/// sight. Borrowed from a [`MeBcrs`] ([`MeBcrs::structure`]) or from a
+/// [`WindowPattern`].
+#[derive(Clone, Copy, Debug)]
+pub struct Structure<'a> {
+    /// Vector height and block width.
+    pub spec: TcFormatSpec,
+    /// Matrix rows (the last window may be ragged).
+    pub rows: usize,
+    /// The RowPointers array.
+    pub window_ptr: &'a [usize],
+    /// The ColumnIndices array.
+    pub col_indices: &'a [u32],
+    /// Bytes per stored value.
+    pub elem_bytes: usize,
+}
+
+impl<'a> Structure<'a> {
+    /// Number of row windows.
+    #[inline]
+    pub fn num_windows(&self) -> usize {
+        self.window_ptr.len() - 1
+    }
+
+    /// Nonzero vectors in window `w`.
+    #[inline]
+    pub fn vectors_in_window(&self, w: usize) -> usize {
+        self.window_ptr[w + 1] - self.window_ptr[w]
+    }
+
+    /// TC blocks in window `w` (ceil(nv/k)) — no padding blocks exist.
+    #[inline]
+    pub fn blocks_in_window(&self, w: usize) -> usize {
+        self.spec.blocks_for(self.vectors_in_window(w))
+    }
+
+    /// Width (vector count) of block `b` of window `w`; the last block may
+    /// be ragged (`1..=k`).
+    #[inline]
+    pub fn block_width(&self, w: usize, b: usize) -> usize {
+        self.spec.block_k.min(self.vectors_in_window(w) - b * self.spec.block_k)
+    }
+
+    /// Column indices of the vectors in block `b` of window `w`.
+    #[inline]
+    pub fn block_cols(&self, w: usize, b: usize) -> &'a [u32] {
+        let start = self.window_ptr[w] + b * self.spec.block_k;
+        &self.col_indices[start..start + self.block_width(w, b)]
+    }
+
+    /// Flat index into the values array of element `(local_row,
+    /// local_vec)` of block `b` of window `w`.
+    #[inline]
+    pub fn value_index(&self, w: usize, b: usize, local_row: usize, local_vec: usize) -> usize {
+        let v = self.spec.vector_len;
+        let w_b = self.block_width(w, b);
+        debug_assert!(local_row < v && local_vec < w_b);
+        self.window_ptr[w] * v + b * self.spec.block_k * v + local_row * w_b + local_vec
+    }
+
+    /// Byte address of a value element (values array assumed based at 0) —
+    /// for the memory-transaction accounting.
+    #[inline]
+    pub fn value_addr(&self, w: usize, b: usize, local_row: usize, local_vec: usize) -> u64 {
+        (self.value_index(w, b, local_row, local_vec) * self.elem_bytes) as u64
+    }
+}
+
 impl<S: Scalar> MeBcrs<S> {
-    /// Translate a CSR matrix. The per-window work is embarrassingly
-    /// parallel and runs under Rayon, mirroring the paper's CUDA
-    /// preprocessing kernels ("the matrix translation process leverages
-    /// CUDA for parallel processing").
+    /// Translate a CSR matrix: one [`WindowPattern`] pass for the
+    /// RowPointers and ColumnIndices arrays, then one pass scattering the
+    /// values into the block-major layout. Windows are independent — the
+    /// paper runs this step as CUDA preprocessing kernels ("the matrix
+    /// translation process leverages CUDA for parallel processing") — but
+    /// here both passes run on the calling thread; callers that want
+    /// overlap translate row slabs ([`MeBcrs::from_csr_rows_cast`]).
     ///
     /// ```
     /// use fs_format::{MeBcrs, TcFormatSpec};
@@ -71,78 +213,79 @@ impl<S: Scalar> MeBcrs<S> {
     /// assert_eq!(me.to_dense(), csr.to_dense());
     /// ```
     pub fn from_csr(csr: &CsrMatrix<S>, spec: TcFormatSpec) -> Self {
-        let v = spec.vector_len;
-        let rows = csr.rows();
-        let num_windows = spec.num_windows(rows);
+        Self::translate_rows(csr, 0..csr.rows(), spec, |v| v)
+    }
 
-        // Pass 1 (parallel over windows): the sorted distinct columns of
-        // each window = its nonzero vectors.
-        let window_cols: Vec<Vec<u32>> = (0..num_windows)
-            .into_par_iter()
-            .map(|w| {
-                let lo = w * v;
-                let hi = ((w + 1) * v).min(rows);
-                let mut cols: Vec<u32> =
-                    (lo..hi).flat_map(|r| csr.row_cols(r).iter().copied()).collect();
-                cols.sort_unstable();
-                cols.dedup();
-                cols
-            })
-            .collect();
+    /// [`MeBcrs::from_csr`] of `csr.cast::<S>()` without making that copy:
+    /// each value is converted as it is scattered.
+    pub fn from_csr_cast<T: Scalar>(csr: &CsrMatrix<T>, spec: TcFormatSpec) -> Self {
+        Self::from_csr_rows_cast(csr, 0..csr.rows(), spec)
+    }
 
-        // Prefix sum into window_ptr.
-        let mut window_ptr = Vec::with_capacity(num_windows + 1);
-        let mut total_vectors = 0usize;
-        window_ptr.push(0usize);
-        for wc in &window_cols {
-            total_vectors += wc.len();
-            window_ptr.push(total_vectors);
-        }
-        let col_indices: Vec<u32> = window_cols.iter().flatten().copied().collect();
+    /// [`MeBcrs::from_csr_cast`] of rows `rows` only (same column space) —
+    /// a slab of the whole translation when `rows.start` is a multiple of
+    /// the vector height.
+    ///
+    /// # Panics
+    /// Panics if `rows` is not within `0..=csr.rows()`.
+    pub fn from_csr_rows_cast<T: Scalar>(
+        csr: &CsrMatrix<T>,
+        rows: Range<usize>,
+        spec: TcFormatSpec,
+    ) -> Self {
+        Self::translate_rows(csr, rows, spec, |v| S::from_f32(v.to_f32()))
+    }
 
-        // Pass 2 (parallel over windows): scatter values into the ragged
-        // block-major layout. Each window owns a disjoint slice of `values`.
-        let mut values = vec![S::ZERO; total_vectors * v];
-        let value_ranges: Vec<(usize, usize)> =
-            (0..num_windows).map(|w| (window_ptr[w] * v, window_ptr[w + 1] * v)).collect();
-        // Split `values` into per-window slices for safe parallel writes.
-        let mut slices: Vec<&mut [S]> = Vec::with_capacity(num_windows);
-        let mut rest = values.as_mut_slice();
-        for w in 0..num_windows {
-            let len = value_ranges[w].1 - value_ranges[w].0;
-            let (head, tail) = rest.split_at_mut(len);
-            slices.push(head);
-            rest = tail;
-        }
-        slices.into_par_iter().enumerate().for_each(|(w, slice)| {
-            let wc = &window_cols[w];
-            let nv = wc.len();
-            let lo = w * v;
-            let hi = ((w + 1) * v).min(rows);
-            for r in lo..hi {
-                let local_r = r - lo;
+    fn translate_rows<T: Scalar>(
+        csr: &CsrMatrix<T>,
+        rows: Range<usize>,
+        spec: TcFormatSpec,
+        convert: impl Fn(T) -> S,
+    ) -> Self {
+        let (v, k) = (spec.vector_len, spec.block_k);
+        let WindowPattern { window_ptr, mut col_indices, .. } =
+            WindowPattern::from_csr_rows(csr, rows.clone(), v);
+        // Reserved for one column per nonzero; the format is long-lived.
+        col_indices.shrink_to_fit();
+
+        let mut values = vec![S::ZERO; col_indices.len() * v];
+        for (w, lo) in rows.clone().step_by(v).enumerate() {
+            let wc = &col_indices[window_ptr[w]..window_ptr[w + 1]];
+            let window = &mut values[window_ptr[w] * v..window_ptr[w + 1] * v];
+            for (local_r, r) in (lo..(lo + v).min(rows.end)).enumerate() {
+                // A cursor into the window's columns, merged against the
+                // row's: `j` is the vector, `blk` the first vector of its
+                // TC block. Rows are normally ascending; one that steps
+                // backwards restarts the cursor by search.
+                let (mut j, mut blk) = (0, 0);
                 for (&c, &val) in csr.row_cols(r).iter().zip(csr.row_values(r)) {
-                    let j = wc.binary_search(&c).expect("column must be a nonzero vector"); // lint: allow-panic - pass 1 inserted every column
-                    let b = j / spec.block_k;
-                    let jl = j - b * spec.block_k;
-                    let w_b = spec.block_k.min(nv - b * spec.block_k);
-                    let idx = b * spec.block_k * v + local_r * w_b + jl;
-                    slice[idx] = val;
+                    if wc[j] > c {
+                        j = wc.partition_point(|&x| x < c);
+                        blk = j - j % k;
+                    }
+                    while wc[j] < c {
+                        j += 1;
+                        if j == blk + k {
+                            blk = j;
+                        }
+                    }
+                    let w_b = k.min(wc.len() - blk);
+                    window[blk * v + local_r * w_b + (j - blk)] = convert(val);
                 }
             }
-        });
+        }
 
         let me = MeBcrs {
             spec,
-            rows,
+            rows: rows.len(),
             cols: csr.cols(),
             window_ptr,
             col_indices,
             values,
-            nnz: csr.nnz(),
-            // Correct by construction: pass 1 emits sorted distinct
-            // columns and a monotone prefix sum, pass 2 only scatters
-            // values (debug builds re-check below).
+            nnz: csr.row_ptr()[rows.end] - csr.row_ptr()[rows.start],
+            // Correct by construction: the pattern pass emits sorted
+            // distinct columns and a monotone prefix sum, the scatter only
+            // writes values (debug builds re-check below).
             validated: true,
         };
         #[cfg(debug_assertions)]
@@ -247,16 +390,29 @@ impl<S: Scalar> MeBcrs<S> {
         &self.values
     }
 
+    /// The matrix without its values — what block geometry, value
+    /// addresses and therefore kernel counters depend on.
+    #[inline]
+    pub fn structure(&self) -> Structure<'_> {
+        Structure {
+            spec: self.spec,
+            rows: self.rows,
+            window_ptr: &self.window_ptr,
+            col_indices: &self.col_indices,
+            elem_bytes: S::BYTES,
+        }
+    }
+
     /// Nonzero vectors in window `w`.
     #[inline]
     pub fn vectors_in_window(&self, w: usize) -> usize {
-        self.window_ptr[w + 1] - self.window_ptr[w]
+        self.structure().vectors_in_window(w)
     }
 
     /// TC blocks in window `w` (ceil(nv/k)) — no padding blocks exist.
     #[inline]
     pub fn blocks_in_window(&self, w: usize) -> usize {
-        self.spec.blocks_for(self.vectors_in_window(w))
+        self.structure().blocks_in_window(w)
     }
 
     /// Total TC blocks.
@@ -268,25 +424,20 @@ impl<S: Scalar> MeBcrs<S> {
     /// be ragged (`1..=k`).
     #[inline]
     pub fn block_width(&self, w: usize, b: usize) -> usize {
-        let nv = self.vectors_in_window(w);
-        self.spec.block_k.min(nv - b * self.spec.block_k)
+        self.structure().block_width(w, b)
     }
 
     /// Column indices of the vectors in block `b` of window `w`.
     #[inline]
     pub fn block_cols(&self, w: usize, b: usize) -> &[u32] {
-        let start = self.window_ptr[w] + b * self.spec.block_k;
-        &self.col_indices[start..start + self.block_width(w, b)]
+        self.structure().block_cols(w, b)
     }
 
     /// Flat index into `values` of element `(local_row, local_vec)` of
     /// block `b` of window `w`.
     #[inline]
     pub fn value_index(&self, w: usize, b: usize, local_row: usize, local_vec: usize) -> usize {
-        let v = self.spec.vector_len;
-        let w_b = self.block_width(w, b);
-        debug_assert!(local_row < v && local_vec < w_b);
-        self.window_ptr[w] * v + b * self.spec.block_k * v + local_row * w_b + local_vec
+        self.structure().value_index(w, b, local_row, local_vec)
     }
 
     /// One row of a TC block, contiguous in `values`.
@@ -300,7 +451,7 @@ impl<S: Scalar> MeBcrs<S> {
     /// for the memory-transaction simulator.
     #[inline]
     pub fn value_addr(&self, w: usize, b: usize, local_row: usize, local_vec: usize) -> u64 {
-        (self.value_index(w, b, local_row, local_vec) * S::BYTES) as u64
+        self.structure().value_addr(w, b, local_row, local_vec)
     }
 
     /// Mutable access to the values array (structure is fixed).
@@ -626,6 +777,157 @@ mod tests {
         );
         assert!(!bad.mark_validated());
         assert!(!bad.is_validated());
+    }
+
+    /// The two-pass translation `from_csr` ran before it was rebuilt on
+    /// [`WindowPattern`] — per-window `Vec`s, one binary search per
+    /// nonzero — kept as the oracle for the arrays it must reproduce.
+    fn from_csr_reference<S: Scalar>(csr: &CsrMatrix<S>, spec: TcFormatSpec) -> MeBcrs<S> {
+        use rayon::prelude::*;
+        let v = spec.vector_len;
+        let rows = csr.rows();
+        let num_windows = spec.num_windows(rows);
+        let window_cols: Vec<Vec<u32>> = (0..num_windows)
+            .into_par_iter()
+            .map(|w| {
+                let lo = w * v;
+                let hi = ((w + 1) * v).min(rows);
+                let mut cols: Vec<u32> =
+                    (lo..hi).flat_map(|r| csr.row_cols(r).iter().copied()).collect();
+                cols.sort_unstable();
+                cols.dedup();
+                cols
+            })
+            .collect();
+        let mut window_ptr = vec![0usize];
+        for wc in &window_cols {
+            window_ptr.push(window_ptr[window_ptr.len() - 1] + wc.len());
+        }
+        let col_indices: Vec<u32> = window_cols.iter().flatten().copied().collect();
+        let mut values = vec![S::ZERO; col_indices.len() * v];
+        for (w, wc) in window_cols.iter().enumerate() {
+            let slice = &mut values[window_ptr[w] * v..window_ptr[w + 1] * v];
+            let nv = wc.len();
+            let lo = w * v;
+            for r in lo..((w + 1) * v).min(rows) {
+                for (&c, &val) in csr.row_cols(r).iter().zip(csr.row_values(r)) {
+                    let j = wc.binary_search(&c).expect("column must be a nonzero vector");
+                    let b = j / spec.block_k;
+                    let jl = j - b * spec.block_k;
+                    let w_b = spec.block_k.min(nv - b * spec.block_k);
+                    slice[b * spec.block_k * v + (r - lo) * w_b + jl] = val;
+                }
+            }
+        }
+        let mut me = MeBcrs::from_raw_parts(
+            spec,
+            rows,
+            csr.cols(),
+            window_ptr,
+            col_indices,
+            values,
+            csr.nnz(),
+        );
+        assert!(me.mark_validated());
+        me
+    }
+
+    /// Arrays, `nnz` and witness, values compared as f32 bit patterns.
+    fn assert_same_bytes<S: Scalar>(got: &MeBcrs<S>, want: &MeBcrs<S>) {
+        assert_eq!((got.spec(), got.rows(), got.cols()), (want.spec(), want.rows(), want.cols()));
+        assert_eq!(got.window_ptr(), want.window_ptr());
+        assert_eq!(got.col_indices(), want.col_indices());
+        let bits =
+            |m: &MeBcrs<S>| m.values().iter().map(|x| x.to_f32().to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got), bits(want));
+        assert_eq!((got.nnz(), got.is_validated()), (want.nnz(), want.is_validated()));
+    }
+
+    /// A CSR with the shapes translation must get right: empty rows and
+    /// whole empty windows, a ragged last window, fewer rows than one
+    /// window, one dense row, columns shared by a window's rows, and
+    /// values whose bit patterns a careless cast would lose.
+    fn awkward_csr(rows: usize, cols: usize, per_row: usize, seed: u64) -> CsrMatrix<f32> {
+        const SPECIAL: [f32; 6] = [-0.0, f32::NAN, 1e-41, -1e-41, 65520.0, f32::INFINITY];
+        let mut rng = proptest::test_runner::TestRng::deterministic(&format!("awkward-{seed}"));
+        let mut pick = |bound: usize| rng.below(bound as u128) as usize;
+        let dense_row = pick(rows);
+        let empty_from = pick(rows + 1);
+        let mut coo = CooMatrix::new(rows, cols);
+        let value = |slot: usize| {
+            if slot.is_multiple_of(5) {
+                SPECIAL[slot / 5 % SPECIAL.len()]
+            } else {
+                (slot % 23) as f32 * 0.37 - 4.0
+            }
+        };
+        for r in 0..rows {
+            if r == dense_row {
+                (0..cols).for_each(|c| coo.push(r, c, value(r + c)));
+            } else if r % 3 != 0 && !(empty_from..empty_from + 17).contains(&r) {
+                // A few columns per window, so its rows collide on them.
+                let base = pick(cols);
+                (0..per_row)
+                    .for_each(|i| coo.push(r, (base + i * (1 + r % 4)) % cols, value(r * 31 + i)));
+            }
+        }
+        CsrMatrix::from_coo(&coo)
+    }
+
+    const ALL_SPECS: [TcFormatSpec; 6] = [
+        TcFormatSpec::FLASH_FP16,
+        TcFormatSpec::FLASH_FP16_K16,
+        TcFormatSpec::FLASH_TF32,
+        TcFormatSpec::SOTA16_FP16,
+        TcFormatSpec::SOTA16_TF32,
+        TcFormatSpec::TCGNN_WMMA,
+    ];
+
+    fn translation_is_the_same_bytes<S: Scalar>(csr: &CsrMatrix<f32>, lo: usize) {
+        let cast = csr.cast::<S>();
+        for spec in ALL_SPECS {
+            let want = from_csr_reference(&cast, spec);
+            assert_same_bytes(&MeBcrs::from_csr(&cast, spec), &want);
+            assert_same_bytes(&MeBcrs::<S>::from_csr_cast(csr, spec), &want);
+            // A row range is the translation of that slice.
+            let lo = lo.min(csr.rows());
+            let want = from_csr_reference(&cast.slice_rows(lo, csr.rows()), spec);
+            assert_same_bytes(&MeBcrs::<S>::from_csr_rows_cast(csr, lo..csr.rows(), spec), &want);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn from_csr_is_the_reference_bytes(
+            rows in 1usize..70,
+            cols in 1usize..90,
+            per_row in 0usize..9,
+            lo in 0usize..70,
+            seed in 0u64..1_000_000,
+        ) {
+            let csr = awkward_csr(rows, cols, per_row, seed);
+            translation_is_the_same_bytes::<fs_precision::F16>(&csr, lo);
+            translation_is_the_same_bytes::<fs_precision::Tf32>(&csr, lo);
+            translation_is_the_same_bytes::<f32>(&csr, lo);
+        }
+    }
+
+    #[test]
+    fn unsorted_and_repeated_columns_translate_like_the_reference() {
+        // `CsrMatrix::new` does not require ascending or distinct columns
+        // within a row; the last value written to a slot wins.
+        let csr = CsrMatrix::new(
+            3,
+            12,
+            vec![0, 5, 5, 9],
+            vec![9, 2, 9, 0, 11, 4, 3, 3, 10],
+            vec![1.0f32, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0],
+        );
+        for spec in ALL_SPECS {
+            assert_same_bytes(&MeBcrs::from_csr(&csr, spec), &from_csr_reference(&csr, spec));
+        }
     }
 
     #[test]

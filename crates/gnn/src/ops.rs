@@ -90,7 +90,7 @@ impl SparseOps {
                 out
             }
             GnnBackend::TcGnnTf32 => {
-                let a16 = MeBcrs::from_csr(&adj.cast::<Tf32>(), fs_baselines::tcu16::SPEC16);
+                let a16 = MeBcrs::<Tf32>::from_csr_cast(adj, fs_baselines::tcu16::SPEC16);
                 let (out, run) = fs_baselines::tcu16::tcgnn::spmm_tcgnn(&a16, &b.cast());
                 self.record(run.counters, run.simulated_time(self.gpu));
                 out.cast()
@@ -103,7 +103,7 @@ impl SparseOps {
         adj: &CsrMatrix<f32>,
         b: &DenseMatrix<f32>,
     ) -> DenseMatrix<f32> {
-        let a_s: MeBcrs<S> = MeBcrs::from_csr(&adj.cast::<S>(), S::SPEC);
+        let a_s: MeBcrs<S> = MeBcrs::from_csr_cast(adj, S::SPEC);
         let (out, counters) = flash_spmm(&a_s, b, ThreadMapping::MemoryEfficient);
         let run = fs_baselines::BaselineRun {
             counters,
@@ -136,7 +136,7 @@ impl SparseOps {
                 out
             }
             GnnBackend::TcGnnTf32 => {
-                let m16 = MeBcrs::from_csr(&mask.cast::<Tf32>(), fs_baselines::tcu16::SPEC16);
+                let m16 = MeBcrs::<Tf32>::from_csr_cast(mask, fs_baselines::tcu16::SPEC16);
                 let (out, run) =
                     fs_baselines::tcu16::tcgnn::sddmm_tcgnn(&m16, &a.cast(), &b.cast());
                 self.record(run.counters, run.simulated_time(self.gpu));
@@ -151,7 +151,7 @@ impl SparseOps {
         a: &DenseMatrix<f32>,
         b: &DenseMatrix<f32>,
     ) -> CsrMatrix<f32> {
-        let mask_s: MeBcrs<S> = MeBcrs::from_csr(&mask.cast::<S>(), S::SPEC);
+        let mask_s: MeBcrs<S> = MeBcrs::from_csr_cast(mask, S::SPEC);
         let (out, counters) = flash_sddmm(&mask_s, &a.cast(), &b.cast());
         let run = fs_baselines::BaselineRun {
             counters,

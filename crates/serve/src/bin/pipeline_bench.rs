@@ -1,16 +1,21 @@
-//! Cold-request latency: classic cold path (auto-tune + translate on
-//! the critical path) vs the pipelined cold path (overlapped FALLBACK
-//! execution, tuning deferred to the background).
+//! What a never-seen matrix costs its first caller: the first request on
+//! a matrix (cache miss) against a later request on the same matrix
+//! (cache hit), on the pipelined engine — overlapped FALLBACK execution,
+//! tuning deferred to a background thread — and, for reference, the first
+//! request on the classic engine (auto-tune + translate on the critical
+//! path).
 //!
 //! ```text
 //! pipeline_bench [--out BENCH_pipeline.json] [--requests N] [--rows N] [--n N]
 //! ```
 //!
-//! Both engines run in-process (no TCP), single worker, with the format
-//! cache disabled (`cold`) so *every* request pays its configuration's
-//! full cold cost — the measurement isolates exactly the latency the
-//! overlapped engine removes from the miss path. The JSON report carries
-//! `cold_speedup_p95`, the number ci.sh gates at ≥ 1.5×.
+//! Each engine runs in-process (no TCP) with one worker and its format
+//! cache on, and serves `N` distinct matrices (one R-MAT seed each, so no
+//! two share a fingerprint): the first request on a matrix is cold, a
+//! second one after every matrix has had its first is warm. The JSON
+//! report carries `cold_over_warm_p50` — the pipelined engine's median
+//! cold request over its median warm one, the number ci.sh gates — and the
+//! same ratio of the p95s.
 
 use std::time::Instant;
 
@@ -25,39 +30,55 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// Drive `count` timed requests through a fresh cold engine; returns
-/// per-request latencies in microseconds.
-fn cold_latencies(pipeline: bool, csr: &CsrMatrix<f32>, n: usize, count: usize) -> Vec<u64> {
-    let engine = ServeEngine::start(EngineConfig {
-        workers: 1,
-        cold: true,
-        pipeline,
-        ..EngineConfig::default()
-    });
-    let info = engine.register_matrix("bench", csr.clone()).expect("registered"); // lint: allow-panic - bench setup; a failed registration is fatal
-    let b = DenseMatrix::from_f32_slice(
-        csr.cols(),
-        n,
-        &(0..csr.cols() * n).map(|i| ((i % 11) as f32 - 5.0) * 0.125).collect::<Vec<f32>>(),
-    );
-    let request = || {
+/// Sorted per-request latencies in microseconds.
+struct Latencies {
+    /// First request on each matrix: a cache miss.
+    cold: Vec<u64>,
+    /// A later request on each matrix: a cache hit.
+    warm: Vec<u64>,
+}
+
+/// Register every matrix on a fresh engine and time two requests on each;
+/// the first `WARMUP` matrices are not reported.
+fn latencies(pipeline: bool, matrices: &[CsrMatrix<f32>], n: usize) -> Latencies {
+    let engine =
+        ServeEngine::start(EngineConfig { workers: 1, pipeline, ..EngineConfig::default() });
+    let request = |matrix_id: u64, b: &DenseMatrix<f32>| {
         let t0 = Instant::now();
         let outcome = engine.spmm_blocking(SpmmRequest {
             tenant: "bench".to_string(),
-            matrix_id: info.id,
+            matrix_id,
             b: b.clone(),
             deadline: None,
         });
         assert!(matches!(outcome, Ok(SpmmOutcome::Done(_))), "{outcome:?}");
         t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64
     };
-    for _ in 0..WARMUP {
-        request();
+    let operand = |csr: &CsrMatrix<f32>| {
+        DenseMatrix::from_f32_slice(
+            csr.cols(),
+            n,
+            &(0..csr.cols() * n).map(|i| ((i % 11) as f32 - 5.0) * 0.125).collect::<Vec<f32>>(),
+        )
+    };
+    // Every first request back to back (on the pipelined engine each runs
+    // beside the previous matrix's background upgrade, as a stream of new
+    // matrices would), then one more request per matrix, all upgraded.
+    let mut ids = Vec::with_capacity(matrices.len());
+    let mut cold = Vec::with_capacity(matrices.len());
+    for csr in matrices {
+        let info = engine.register_matrix("bench", csr.clone()).expect("registered"); // lint: allow-panic - bench setup; a failed registration is fatal
+        ids.push(info.id);
+        cold.push(request(info.id, &operand(csr)));
     }
-    let mut out: Vec<u64> = (0..count).map(|_| request()).collect();
+    let mut warm: Vec<u64> =
+        matrices.iter().zip(&ids).map(|(csr, &id)| request(id, &operand(csr))).collect();
+    cold.drain(..WARMUP);
+    warm.drain(..WARMUP);
     engine.shutdown();
-    out.sort_unstable();
-    out
+    cold.sort_unstable();
+    warm.sort_unstable();
+    Latencies { cold, warm }
 }
 
 fn main() {
@@ -85,12 +106,15 @@ fn main() {
     }
     let requests = requests.max(1);
 
-    // A power-law graph spanning many row windows, so the overlapped
+    // Power-law graphs spanning many row windows, so the overlapped
     // engine streams multiple slabs (SLAB_WINDOWS x 8 rows each).
     let scale = rows.next_power_of_two().trailing_zeros();
-    let csr = CsrMatrix::from_coo(&rmat::<f32>(scale, 8, RmatConfig::GRAPH500, true, 42));
+    let matrices: Vec<CsrMatrix<f32>> = (0..(requests + WARMUP) as u64)
+        .map(|i| CsrMatrix::from_coo(&rmat::<f32>(scale, 8, RmatConfig::GRAPH500, true, 42 + i)))
+        .collect();
+    let csr = &matrices[0];
     println!(
-        "pipeline_bench: {}x{} nnz={} n={} requests={} (+{WARMUP} warmup) per engine",
+        "pipeline_bench: {}x{} nnz={} n={} matrices={} (+{WARMUP} warmup) per engine",
         csr.rows(),
         csr.cols(),
         csr.nnz(),
@@ -98,12 +122,13 @@ fn main() {
         requests
     );
 
-    let seq = cold_latencies(false, &csr, n, requests);
-    let pipe = cold_latencies(true, &csr, n, requests);
-    let (seq_p50, seq_p95) = (fs_serve::percentile(&seq, 50.0), fs_serve::percentile(&seq, 95.0));
-    let (pipe_p50, pipe_p95) =
-        (fs_serve::percentile(&pipe, 50.0), fs_serve::percentile(&pipe, 95.0));
-    let speedup = |a: u64, b: u64| a as f64 / b.max(1) as f64;
+    let seq = latencies(false, &matrices, n);
+    let pipe = latencies(true, &matrices, n);
+    let p = fs_serve::percentile;
+    let (seq_p50, seq_p95) = (p(&seq.cold, 50.0), p(&seq.cold, 95.0));
+    let (pipe_p50, pipe_p95) = (p(&pipe.cold, 50.0), p(&pipe.cold, 95.0));
+    let (warm_p50, warm_p95) = (p(&pipe.warm, 50.0), p(&pipe.warm, 95.0));
+    let ratio = |a: u64, b: u64| a as f64 / b.max(1) as f64;
 
     let mut w = fs_trace::export::JsonWriter::new();
     w.begin_object();
@@ -116,8 +141,10 @@ fn main() {
     w.field_u64("cold_seq_p95_us", seq_p95);
     w.field_u64("cold_pipeline_p50_us", pipe_p50);
     w.field_u64("cold_pipeline_p95_us", pipe_p95);
-    w.field_f64("cold_speedup_p50", speedup(seq_p50, pipe_p50));
-    w.field_f64("cold_speedup_p95", speedup(seq_p95, pipe_p95));
+    w.field_u64("warm_p50_us", warm_p50);
+    w.field_u64("warm_p95_us", warm_p95);
+    w.field_f64("cold_over_warm_p50", ratio(pipe_p50, warm_p50));
+    w.field_f64("cold_over_warm_p95", ratio(pipe_p95, warm_p95));
     w.end_object();
     let json = w.finish();
     if let Err(e) = std::fs::write(&out_path, &json) {
@@ -125,9 +152,10 @@ fn main() {
         std::process::exit(1);
     }
     println!(
-        "pipeline_bench: cold p95 {seq_p95}us -> {pipe_p95}us ({:.2}x), p50 {seq_p50}us -> {pipe_p50}us ({:.2}x)",
-        speedup(seq_p95, pipe_p95),
-        speedup(seq_p50, pipe_p50),
+        "pipeline_bench: first request p95 {pipe_p95}us (classic {seq_p95}us), warm p95 {warm_p95}us \
+         ({:.2}x); p50 {pipe_p50}us (classic {seq_p50}us), warm {warm_p50}us ({:.2}x)",
+        ratio(pipe_p95, warm_p95),
+        ratio(pipe_p50, warm_p50),
     );
     println!("pipeline_bench: wrote {out_path}");
 }
